@@ -4,7 +4,8 @@ One JSON config document (file or stdin) describes a run; --set overrides
 individual keys.  Scalar results go to stdout as JSON, grids and sweeps to
 CSV.  All library computation is Gaussian-CGS; in --units si mode every
 numeric input is converted exactly once at this boundary.  Warnings go to
-stderr, never into data files.
+stderr, one ``warning: <Category>: <message>`` line each, never into data
+files.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -28,6 +30,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# Upper bound on field-profile's n_t; each time sample costs a few ms.
+MAX_FIELD_SAMPLES = 10_000
+
 _DENSITY_HEADER = ["x", "y", "z", "t", "Ex", "Ey", "Ez", "Hx", "Hy", "Hz"]
 
 # SI unit assumed per quantity kind when --units si is active
@@ -40,7 +45,13 @@ class ConfigError(ValueError):
 
 
 def _fmt(x: float) -> str:
-    """Fixed 17-significant-digit scientific notation for all data output."""
+    """Fixed 17-significant-digit scientific notation for all data output.
+
+    NaN and infinities are not JSON, so a non-finite result is a numerical
+    failure rather than data.
+    """
+    if not math.isfinite(x):
+        raise FloatingPointError(f"non-finite result {x!r}")
     return f"{x:.16e}"
 
 
@@ -100,10 +111,12 @@ def _num(cfg: dict, key: str, kind: str | None, units: str, *,
         return default
     try:
         value = float(cfg[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} must be a number") from None
     if units == "si" and kind is not None:
         value = convert_units(value, kind, _SI_UNIT[kind], _cgs_unit(kind))
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return value
 
 
@@ -129,11 +142,9 @@ def _pulse_params(cfg: dict, units: str) -> GaussianPulseParams:
     raise ConfigError("pulse needs 'e0' or 'energy'")
 
 
-def _validity_note(params: GaussianPulseParams) -> None:
-    rw, rt = spectral.validity_ratio(params)
-    if max(rw, rt) > 0.05:
-        print(f"warning: paraxial validity marginal (lambda/w = {rw:.3g}, "
-              f"lambda/ctau = {rt:.3g})", file=sys.stderr)
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning replacement: one line, no source location."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -199,7 +210,6 @@ def cmd_mass_discrete(cfg: dict, args) -> None:
 
 def cmd_mass_pulse(cfg: dict, args) -> None:
     params = _pulse_params(cfg, args.units)
-    _validity_note(params)
     summary = analytic.summarize(params)
     rw, rt = spectral.validity_ratio(params)
     payload = {
@@ -224,7 +234,6 @@ def cmd_mass_pulse(cfg: dict, args) -> None:
 
 def cmd_speed(cfg: dict, args) -> None:
     params = _pulse_params(cfg, args.units)
-    _validity_note(params)
     summary = analytic.summarize(params)
     _emit_json({
         "schema_version": SCHEMA_VERSION,
@@ -337,14 +346,21 @@ def cmd_sweep(cfg: dict, args) -> None:
 
 def cmd_field_profile(cfg: dict, args) -> None:
     params = _pulse_params(cfg, args.units)
-    _validity_note(params)
+    rw, rt = spectral.validity_ratio(params)
+    if max(rw, rt) > analytic.WARN_RATIO:
+        warnings.warn(f"paraxial validity marginal (lambda/w = {rw:.3g}, "
+                      f"lambda/ctau = {rt:.3g})", analytic.ParaxialWarning)
     r_perp = _num(cfg, "r_perp", "length", args.units, required=False, default=0.0)
     z = _num(cfg, "z", "length", args.units, required=False, default=0.0)
     t_min = _num(cfg, "t_min", "time", args.units)
     t_max = _num(cfg, "t_max", "time", args.units)
-    n_t = int(cfg.get("n_t", 101))
-    if n_t < 2 or t_max <= t_min:
-        raise ConfigError("need n_t >= 2 and t_max > t_min")
+    n_t = _num(cfg, "n_t", None, args.units, required=False, default=101.0)
+    if not (n_t.is_integer() and 2 <= n_t <= MAX_FIELD_SAMPLES):
+        raise ConfigError(
+            f"'n_t' must be an integer from 2 to {MAX_FIELD_SAMPLES}, got {n_t!r}")
+    if t_max <= t_min:
+        raise ConfigError("need t_max > t_min")
+    n_t = int(n_t)
     times = np.linspace(t_min, t_max, n_t)
     values = spectral.field_profile(params, r_perp, z, times)
     rows = [[_fmt(t), _fmt(e)] for t, e in zip(times, values)]
@@ -381,18 +397,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _load_config(args)
-        _COMMANDS[args.command](cfg, args)
-    except QuadratureError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            cfg = _load_config(args)
+            _COMMANDS[args.command](cfg, args)
+        except (QuadratureError, ArithmeticError) as exc:
+            print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (ConfigError, ValueError, KeyError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
     return EXIT_OK
 
 

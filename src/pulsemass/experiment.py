@@ -30,8 +30,8 @@ class ExperimentConfig:
     source: GaussianPulseParams
 
     def __post_init__(self):
-        if self.w_half <= 0.0 or self.f <= 0.0:
-            raise ValueError("w_half and f must be strictly positive")
+        if not (0.0 < self.w_half < math.inf and 0.0 < self.f < math.inf):
+            raise ValueError("w_half and f must be finite and strictly positive")
         ratio = self.w_half / self.f
         if ratio > 0.2:
             raise ValueError(f"w_half/f = {ratio:.3g} too large; need w_half << f")

@@ -51,13 +51,14 @@ class PhotonMode:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError("mode frequency must be positive")
-        if self.weight < 0.0:
-            raise ValueError("mode weight must be nonnegative")
+        # written so that NaN fails every check
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("mode frequency must be finite and positive")
+        if not 0.0 <= self.weight < math.inf:
+            raise ValueError("mode weight must be finite and nonnegative")
         nx, ny, nz = self.direction
         norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:
             raise ValueError(f"direction must be a unit vector (|n| = {norm})")
         object.__setattr__(self, "direction", (float(nx), float(ny), float(nz)))
 

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, j0
 
 from .constants import C, HBAR
 
@@ -55,8 +54,8 @@ class GaussianPulseParams:
 
     def __post_init__(self):
         for name in ("e0", "tau", "w", "omega0"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     @property
     def wavelength(self) -> float:
@@ -68,8 +67,8 @@ class GaussianPulseParams:
                     omega0: float) -> "GaussianPulseParams":
         """Pick e0 so the paraxial pulse energy sqrt(pi)*c*tau*w^2*e0^2/8
         equals the given value in erg."""
-        if energy <= 0.0:
-            raise ValueError("energy must be strictly positive")
+        if not 0.0 < energy < math.inf:
+            raise ValueError("energy must be finite and strictly positive")
         e0 = math.sqrt(8.0 * energy / (math.sqrt(math.pi) * C * tau * w * w))
         return cls(e0, tau, w, omega0)
 
@@ -122,7 +121,7 @@ def gaussian_spectral_density(params: GaussianPulseParams) -> SpectralDensity:
     kz_hi = k0 + dk
     if kz_lo <= 0.0:
         # weight of the k_z Gaussian exp(-(kz-k0)^2 (c tau)^2) below zero
-        lost = 0.5 * float(erfc(k0 * C * tau))
+        lost = 0.5 * math.erfc(k0 * C * tau)
         if lost > 1e-12:
             warnings.warn(
                 f"k_z window clipped at zero; {lost:.3e} of the spectral weight "
@@ -220,6 +219,9 @@ def pulse_mass_quadrature(density: SpectralDensity) -> float:
 
 def _field_static(params: GaussianPulseParams, r_perp: float):
     """Static part of the boundary-field integrand on the fixed node grid."""
+    # imported here so that only field reconstruction pays for scipy
+    from scipy.special import j0
+
     e0, tau, w, omega0 = params.e0, params.tau, params.w, params.omega0
     k0 = omega0 / C
     dk = _WINDOW_SIGMAS / (C * tau)

@@ -123,6 +123,12 @@ class TestChannelDelay:
         with pytest.warns(GeometryWarning):
             config(w_half=0.75, f=5.0)
 
+    @pytest.mark.parametrize("w_half, f", [
+        (math.nan, 5.0), (0.5, math.nan), (0.5, math.inf), (math.inf, math.inf)])
+    def test_non_finite_geometry_rejected(self, w_half, f):
+        with pytest.raises(ValueError, match="finite"):
+            config(w_half=w_half, f=f)
+
 
 class TestGain:
     def test_plug_in(self):

@@ -264,6 +264,21 @@ class TestInvariantsAndHelpers:
         with pytest.raises(ValueError):
             PhotonMode(OMEGA, (0.0, 0.0, 1.0), -1.0)
 
+    @pytest.mark.parametrize("omega, direction, weight", [
+        (math.nan, (0.0, 0.0, 1.0), 1.0),
+        (math.inf, (0.0, 0.0, 1.0), 1.0),
+        (OMEGA, (0.0, 0.0, 1.0), math.nan),
+        (OMEGA, (0.0, 0.0, 1.0), math.inf),
+        (OMEGA, (math.nan, 0.0, 1.0), 1.0),
+    ])
+    def test_non_finite_mode_rejected(self, omega, direction, weight):
+        with pytest.raises(ValueError):
+            PhotonMode(omega, direction, weight)
+
+    def test_nan_angle_rejected(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            PhotonMode.from_angles(OMEGA, math.nan)
+
     def test_boost_frame_gamma(self):
         frame = BoostFrame(0.6)
         assert frame.gamma * math.sqrt(1 - 0.6**2) == pytest.approx(1.0, abs=1e-12)

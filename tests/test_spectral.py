@@ -230,3 +230,16 @@ class TestParams:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             GaussianPulseParams(0.0, 1e-12, 1.0, 1e15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_rejected(self, slot, bad):
+        args = [1.0, 1e-12, 1.0, 1e15]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianPulseParams(*args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianPulseParams.from_energy(bad, 1e-12, 1.0, 1e15)
