@@ -44,6 +44,7 @@ from .analytic import (
 from .density import (
     FieldSample,
     mass_density,
+    mass_density_array,
     mass_density_grid,
     mass_density_invariant_form,
 )

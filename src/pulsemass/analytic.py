@@ -54,16 +54,26 @@ def _check_paraxial(params: GaussianPulseParams) -> tuple[float, float]:
     return rw, rt
 
 
+def _e0_squared(params: GaussianPulseParams) -> float:
+    """e0^2, with an OverflowError that names e0 where it leaves the range."""
+    try:
+        return params.e0**2
+    except OverflowError:
+        raise OverflowError(
+            f"e0 = {params.e0:.6g} statvolt/cm: e0^2 overflows, so the pulse "
+            "energy and mass are out of floating-point range") from None
+
+
 def pulse_energy(params: GaussianPulseParams) -> float:
     """Paraxial pulse energy sqrt(pi)*c*tau*w^2*E0^2/8 in erg."""
-    return math.sqrt(math.pi) * C * params.tau * params.w**2 * params.e0**2 / 8.0
+    return math.sqrt(math.pi) * C * params.tau * params.w**2 * _e0_squared(params) / 8.0
 
 
 def summarize(params: GaussianPulseParams) -> PulseSummary:
     """All closed-form observables of a paraxial Gaussian pulse."""
     _check_paraxial(params)
     energy = pulse_energy(params)
-    mass = math.sqrt(math.pi) * params.tau * params.w * params.e0**2 / (8.0 * params.omega0)
+    mass = math.sqrt(math.pi) * params.tau * params.w * _e0_squared(params) / (8.0 * params.omega0)
     photon_count = energy / (HBAR * params.omega0)
     speed_deficit = C * (mass * C * C) ** 2 / (2.0 * energy * energy)
     return PulseSummary(

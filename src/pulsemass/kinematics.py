@@ -28,10 +28,15 @@ class FourMomentum:
     pz: float
 
     def __post_init__(self):
-        if self.e_over_c < 0.0:
+        e2 = self.e_over_c**2
+        gap = e2 - (self.px**2 + self.py**2 + self.pz**2)
+        # a non-finite component makes gap infinite or NaN
+        if not math.isfinite(gap):
+            raise FloatingPointError(
+                f"non-finite four-momentum component in {(self.e_over_c, self.px, self.py, self.pz)}")
+        if not self.e_over_c >= 0.0:
             raise ValueError("four-momentum energy must be nonnegative")
-        p2 = self.px**2 + self.py**2 + self.pz**2
-        if self.e_over_c**2 - p2 < -SPACELIKE_TOL * self.e_over_c**2:
+        if not gap >= -SPACELIKE_TOL * e2:
             raise ValueError("spacelike four-momentum: corrupted ensemble")
 
     @property
@@ -100,10 +105,15 @@ def total_four_momentum(ensemble: PhotonEnsemble) -> FourMomentum:
     """Weighted component-wise sum of hbar*omega/c * (1, n) over all modes."""
     if not ensemble.modes:
         raise ValueError("empty ensemble")
-    e = math.fsum(m.weight * HBAR * m.omega / C for m in ensemble.modes)
-    px = math.fsum(m.weight * HBAR * m.omega / C * m.direction[0] for m in ensemble.modes)
-    py = math.fsum(m.weight * HBAR * m.omega / C * m.direction[1] for m in ensemble.modes)
-    pz = math.fsum(m.weight * HBAR * m.omega / C * m.direction[2] for m in ensemble.modes)
+    ks = [m.weight * HBAR * m.omega / C for m in ensemble.modes]
+    e = math.fsum(ks)
+    if not math.isfinite(e):
+        # some weight*hbar*omega/c overflowed; the p sums would report its
+        # inf - inf as a ValueError, not as arithmetic
+        raise FloatingPointError("non-finite photon momentum weight*hbar*omega/c")
+    px = math.fsum(k * m.direction[0] for k, m in zip(ks, ensemble.modes))
+    py = math.fsum(k * m.direction[1] for k, m in zip(ks, ensemble.modes))
+    pz = math.fsum(k * m.direction[2] for k, m in zip(ks, ensemble.modes))
     return FourMomentum(e, px, py, pz)
 
 
@@ -116,7 +126,9 @@ def invariant_mass(p: FourMomentum) -> float:
     """
     pa = p.p_abs
     s = (p.e_over_c - pa) * (p.e_over_c + pa)
-    if s < -SPACELIKE_TOL * p.e_over_c**2:
+    if not math.isfinite(s):
+        raise FloatingPointError(f"non-finite mass^2 {s!r} from four-momentum {p}")
+    if not s >= -SPACELIKE_TOL * p.e_over_c**2:
         raise ValueError("spacelike four-momentum: corrupted ensemble")
     return math.sqrt(max(s, 0.0)) / C
 

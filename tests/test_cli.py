@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,8 +11,10 @@ import textwrap
 import pytest
 
 import pulsemass
+from pulsemass import density
 from pulsemass.cli import MAX_FIELD_SAMPLES, main
 from pulsemass.constants import C
+from pulsemass.units import convert_units
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +152,56 @@ class TestDensityCommand:
         code, _, _ = run_cli(capsys, "density", "--config", cfg)
         assert code == 2
 
+    def test_si_equals_cgs_on_converted_values(self, tmp_path, capsys):
+        rng = random.Random(4)
+        e_si = convert_units(1.0, "field", "V/m", "statvolt/cm")
+        h_si = convert_units(1.0, "magnetic_field", "T", "G")
+        rows = [[rng.gauss(0.0, 3e4) for _ in range(3)] + [rng.gauss(0.0, 1e-4) for _ in range(3)]
+                for _ in range(20)]
+        mus = []
+        for units, scale in (("si", (1.0, 1.0)), ("cgs", (e_si, h_si))):
+            csv_in = tmp_path / f"{units}.csv"
+            csv_in.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n" + "".join(
+                "0,0,0,0," + ",".join(repr(x * scale[j // 3]) for j, x in enumerate(r)) + "\n"
+                for r in rows))
+            cfg = write_config(tmp_path, f"{units}.json", {"input": str(csv_in)})
+            code, out, _ = run_cli(capsys, "density", "--config", cfg, "--units", units)
+            assert code == 0
+            mus.append([line.rsplit(",", 1)[1] for line in out.splitlines()[1:]])
+        assert len(mus[0]) == 20
+        assert mus[0] == mus[1]
+
+    @pytest.mark.parametrize("units, row", [
+        ("cgs", "0,0,0,0,1,0,0,0,nan,0"),
+        ("cgs", "0,0,0,0,1,-inf,0,0,1,0"),
+        ("si", "0,0,0,0,1,0,0,0,1e305,0"),   # finite in tesla, inf in gauss
+    ])
+    def test_non_finite_row_is_config_error(self, tmp_path, capsys, units, row):
+        csv_in = tmp_path / "fields.csv"
+        csv_in.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n"
+                          "0,0,0,0,1,0,0,0,1,0\n" + row + "\n")
+        cfg = write_config(tmp_path, "c.json", {"input": str(csv_in)})
+        code, out, err = run_cli(capsys, "density", "--config", cfg, "--units", units)
+        assert code == 2
+        assert out == ""
+        assert "row 1" in err and "finite" in err
+
+    def test_rows_never_become_field_samples(self, tmp_path, capsys, monkeypatch):
+        def no_samples(*args, **kwargs):
+            raise AssertionError("density built a FieldSample per row")
+
+        monkeypatch.setattr(density, "FieldSample", no_samples)
+        csv_in = tmp_path / "fields.csv"
+        csv_in.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n"
+                          + "0,0,0,0,2.0,0,0,0,1.0,0\n" * 10_000)
+        cfg = write_config(tmp_path, "c.json", {"input": str(csv_in)})
+        code, out, err = run_cli(capsys, "density", "--config", cfg)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert len(lines) == 10_001
+        assert float(lines[-1].split(",")[-1]) == pytest.approx(
+            3.0 / (8 * math.pi * C * C), rel=1e-15)
+
 
 class TestSweep:
     def test_fixed_n_mass_ratios(self, tmp_path, capsys):
@@ -224,6 +277,15 @@ class TestNonFinite:
         assert out == ""
         assert err.startswith("numerical error: OverflowError")
 
+    @pytest.mark.parametrize("command", ["mass-pulse", "speed"])
+    def test_overflow_names_e0(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "c.json", {**PULSE_CGS, "e0": 1e200})
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: OverflowError: e0 = 1e+200")
+        assert "energy" in err
+
     def test_non_finite_result_is_numerical_error(self, tmp_path, capsys):
         # finite inputs whose photon energy sum overflows to inf
         cfg = write_config(tmp_path, "c.json", {"photons": [
@@ -259,6 +321,17 @@ class TestWarnings:
         assert lines[0].startswith("warning: ParaxialWarning: ")
         assert "lambda/w = 0.1" in lines[0]
 
+    def test_intrinsic_diffraction_warned_once(self, tmp_path, capsys):
+        # L_D/f < 1 implies f/L_D > 1: one condition, one stderr line
+        cfg = write_config(tmp_path, "c.json",
+                           {"w_half": 0.005, "f": 5.0, "source": PULSE_CGS})
+        code, out, err = run_cli(capsys, "delay", "--config", cfg)
+        assert code == 0
+        assert float(json.loads(out)["gain_over_intrinsic"]) < 1.0
+        assert err.splitlines() == [
+            "warning: GeometryWarning: f/L_D = 3.18: focusing gain not dominant "
+            "over intrinsic diffraction"]
+
     def test_repeated_runs_warn_each_time(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {**PULSE_CGS, "w": 1e-3})
         errs = [run_cli(capsys, "speed", "--config", cfg)[2] for _ in range(2)]
@@ -273,6 +346,17 @@ class TestFieldSamples:
         assert code == 2
         assert out == ""
         assert "n_t" in err
+
+    def test_unresolved_field_is_numerical_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json",
+                           {**FIELD_CGS, "t_min": 1e-6, "t_max": 1.000001e-6})
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "field-profile", "--config", cfg,
+                                 "--out", str(out_path))
+        assert code == 3
+        assert out == ""
+        assert not out_path.exists()
+        assert err.startswith("numerical error: QuadratureError: ")
 
     def test_integral_float_n_t_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {**FIELD_CGS, "n_t": 3.0})

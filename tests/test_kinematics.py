@@ -279,6 +279,30 @@ class TestInvariantsAndHelpers:
         with pytest.raises(ValueError, match="unit vector"):
             PhotonMode.from_angles(OMEGA, math.nan)
 
+    @pytest.mark.parametrize("components", [
+        (math.nan, 0.0, 0.0, 0.0),
+        (math.inf, 0.0, 0.0, 1.0),
+        (1.0, 0.0, math.nan, 0.0),
+        (math.inf, math.inf, 0.0, 0.0),
+    ])
+    def test_non_finite_four_momentum_rejected(self, components):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            FourMomentum(*components)
+
+    @pytest.mark.parametrize("theta2", [0.5, -0.3])
+    def test_overflowing_sum_is_floating_point_error(self, theta2):
+        # each mode is finite, its momentum weight*hbar*omega/c is not
+        ens = PhotonEnsemble((PhotonMode.from_angles(1e308, 0.3, 0.0, 1e308),
+                              PhotonMode.from_angles(1e308, theta2, 0.0, 1e308)))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            total_four_momentum(ens)
+
+    def test_invariant_mass_rejects_non_finite(self):
+        class Momentum:  # a duck-typed momentum that skipped validation
+            e_over_c, p_abs = math.inf, math.inf
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            invariant_mass(Momentum())
+
     def test_boost_frame_gamma(self):
         frame = BoostFrame(0.6)
         assert frame.gamma * math.sqrt(1 - 0.6**2) == pytest.approx(1.0, abs=1e-12)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from pulsemass import spectral
 from pulsemass.constants import C, HBAR
 from pulsemass.spectral import (
     ForwardClipWarning,
     GaussianPulseParams,
+    QuadratureError,
     SpectralDensity,
     energy_momentum_deficit,
     field_at,
@@ -208,6 +210,50 @@ class TestFieldAt:
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         with pytest.raises(ValueError):
             field_at(p, 0.0, -1.0, 0.0)
+
+    def test_unresolved_field_raises(self):
+        # c t = 1e6 c tau: the phase across the spectral window is ~1e7 rad
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        with pytest.raises(QuadratureError, match="unresolved"):
+            field_at(p, 0.0, 0.0, 1e-6)
+
+    def test_far_propagation_resolved(self):
+        # z = 1e4 c tau: the phase is taken relative to t - z/c, so the pulse
+        # centre needs no more nodes than at the boundary.  On axis the field
+        # is the retarded boundary pulse with the Gouy phase atan(z/z_R),
+        # z_R = k0 w^2 for the exp(-r^2/2w^2) profile.
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        z = 1e4 * C * p.tau
+        z_r = p.omega0 / C * p.w**2
+        s = np.linspace(-2 * p.tau, 2 * p.tau, 41)
+        vals = field_profile(p, 0.0, z, z / C + s)
+        exact = (p.e0 * np.exp(-s * s / (2 * p.tau**2))
+                 * np.sin(p.omega0 * s + math.atan(z / z_r)) / math.hypot(1.0, z / z_r))
+        assert np.max(np.abs(vals - exact)) <= 1e-5 * p.e0
+
+    def test_non_finite_time_rejected(self):
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        with pytest.raises(ValueError, match="finite"):
+            field_profile(p, 0.0, 0.0, np.array([0.0, math.nan, 1e-12]))
+
+    def test_empty_times(self):
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        assert field_profile(p, 0.0, 0.0, np.array([])).shape == (0,)
+
+    def test_criterion_10_converges_within_128_nodes(self, monkeypatch):
+        grid = spectral._grid
+        nodes = []
+
+        def counting_grid(a, b, n):
+            nodes.append(n)
+            return grid(a, b, n)
+
+        monkeypatch.setattr(spectral, "_grid", counting_grid)
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        for r in np.linspace(0.0, 1.5 * p.w, 5):
+            field_profile(p, float(r), 0.0, np.linspace(-1.5 * p.tau, 1.5 * p.tau, 5))
+        assert nodes
+        assert max(nodes) <= 128
 
 
 class TestParams:
