@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constants import C, HBAR
 from .spectral import GaussianPulseParams, validity_ratio
@@ -69,38 +69,46 @@ def pulse_energy(params: GaussianPulseParams) -> float:
     return math.sqrt(math.pi) * C * params.tau * params.w**2 * _e0_squared(params) / 8.0
 
 
-def summarize(params: GaussianPulseParams) -> PulseSummary:
-    """All closed-form observables of a paraxial Gaussian pulse."""
-    _check_paraxial(params)
+def speed_deficit(mass: float, energy: float) -> float:
+    """c - v = c (m c^2)^2/(2 energy^2) in cm/s."""
+    return C * (mass * C * C) ** 2 / (2.0 * energy * energy)
+
+
+def _closed_forms(params: GaussianPulseParams) -> PulseSummary:
+    """summarize without the paraxial check."""
     energy = pulse_energy(params)
     mass = math.sqrt(math.pi) * params.tau * params.w * _e0_squared(params) / (8.0 * params.omega0)
-    photon_count = energy / (HBAR * params.omega0)
-    speed_deficit = C * (mass * C * C) ** 2 / (2.0 * energy * energy)
     return PulseSummary(
         energy=energy,
-        photon_count=photon_count,
+        photon_count=energy / (HBAR * params.omega0),
         mass=mass,
-        speed_deficit=speed_deficit,
+        speed_deficit=speed_deficit(mass, energy),
         rest_energy=mass * C * C,
         wavelength=params.wavelength,
     )
 
 
+def summarize(params: GaussianPulseParams) -> PulseSummary:
+    """All closed-form observables of a paraxial Gaussian pulse."""
+    _check_paraxial(params)
+    return _closed_forms(params)
+
+
 def mass_from_energy(energy: float, lam: float, w: float) -> float:
     """m = energy/(2 pi c^2) * lambda/w, in g."""
-    if energy <= 0.0 or lam <= 0.0 or w <= 0.0:
-        raise ValueError("energy, lambda and w must be strictly positive")
+    if not (0.0 <= energy < math.inf and 0.0 < lam < math.inf and 0.0 < w < math.inf):
+        raise ValueError("energy must be finite and nonnegative, lambda and w "
+                         "finite and strictly positive")
     return energy * lam / (2.0 * math.pi * C * C * w)
 
 
 def mass_from_photon_number(n: float, omega0: float, w: float) -> float:
     """m = N hbar omega0/(2 pi c^2) * lambda/w, in g."""
-    if n < 0.0:
-        raise ValueError("photon number must be nonnegative")
-    if omega0 <= 0.0 or w <= 0.0:
-        raise ValueError("omega0 and w must be strictly positive")
-    lam = 2.0 * math.pi * C / omega0
-    return n * HBAR * omega0 * lam / (2.0 * math.pi * C * C * w)
+    if not 0.0 <= n < math.inf:
+        raise ValueError("photon number must be finite and nonnegative")
+    if not 0.0 < omega0 < math.inf:
+        raise ValueError("omega0 must be finite and strictly positive")
+    return mass_from_energy(n * HBAR * omega0, 2.0 * math.pi * C / omega0, w)
 
 
 def w_limit_scaling(params: GaussianPulseParams, mode: str,
@@ -110,22 +118,15 @@ def w_limit_scaling(params: GaussianPulseParams, mode: str,
     mode "fixed_E0": amplitude held constant, m grows linearly in w.
     mode "fixed_N": photon number held constant, m falls as 1/w.
     """
-    if any(f <= 0.0 for f in w_factors):
-        raise ValueError("w factors must be strictly positive")
-    out = []
+    if not all(0.0 < f < math.inf for f in w_factors):
+        raise ValueError("w factors must be finite and strictly positive")
+    ws = [params.w * f for f in w_factors]
     if mode == "fixed_E0":
-        for f in w_factors:
-            w = params.w * f
-            m = math.sqrt(math.pi) * params.tau * w * params.e0**2 / (8.0 * params.omega0)
-            out.append((w, m))
-    elif mode == "fixed_N":
+        return [(w, _closed_forms(replace(params, w=w)).mass) for w in ws]
+    if mode == "fixed_N":
         n = pulse_energy(params) / (HBAR * params.omega0)
-        for f in w_factors:
-            w = params.w * f
-            out.append((w, mass_from_photon_number(n, params.omega0, w)))
-    else:
-        raise ValueError(f"unknown scaling mode {mode!r}")
-    return out
+        return [(w, mass_from_photon_number(n, params.omega0, w)) for w in ws]
+    raise ValueError(f"unknown scaling mode {mode!r}")
 
 
 def rest_frame_energy(energy_lab: float, lam: float, w: float) -> float:

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,9 +38,9 @@ MAX_FIELD_SAMPLES = 10_000
 
 _DENSITY_HEADER = ["x", "y", "z", "t", "Ex", "Ey", "Ez", "Hx", "Hy", "Hz"]
 
-# SI unit assumed per quantity kind when --units si is active
-_SI_UNIT = {"energy": "J", "length": "m", "time": "s",
-            "field": "V/m", "magnetic_field": "T"}
+# (SI, CGS) units per quantity kind; --units si converts the first to the second
+_UNITS = {"energy": ("J", "erg"), "length": ("m", "cm"), "time": ("s", "s"),
+          "field": ("V/m", "statvolt/cm"), "magnetic_field": ("T", "G")}
 
 
 class ConfigError(ValueError):
@@ -116,15 +117,10 @@ def _num(cfg: dict, key: str, kind: str | None, units: str, *,
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} must be a number") from None
     if units == "si" and kind is not None:
-        value = convert_units(value, kind, _SI_UNIT[kind], _cgs_unit(kind))
+        value = convert_units(value, kind, *_UNITS[kind])
     if not math.isfinite(value):
         raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return value
-
-
-def _cgs_unit(kind: str) -> str:
-    return {"energy": "erg", "length": "cm", "time": "s",
-            "field": "statvolt/cm", "magnetic_field": "G"}[kind]
 
 
 def _pulse_params(cfg: dict, units: str) -> GaussianPulseParams:
@@ -211,26 +207,27 @@ def cmd_mass_discrete(cfg: dict, args) -> None:
 
 
 def cmd_mass_pulse(cfg: dict, args) -> None:
+    """Closed forms, plus the quadrature with --oracle; beyond the paraxial
+    limit --oracle reports the quadrature mass alone."""
     params = _pulse_params(cfg, args.units)
-    summary = analytic.summarize(params)
+    try:
+        summary = analytic.summarize(params)
+    except analytic.ParaxialError as exc:
+        if not args.oracle:
+            raise ConfigError(f"{exc} (mass-pulse --oracle)") from None
+        summary = None
+    payload = {"schema_version": SCHEMA_VERSION, "command": "mass-pulse"}
+    if summary is not None:
+        payload.update(energy_erg=summary.energy, photon_count=summary.photon_count,
+                       mass_g=summary.mass, speed_deficit_cm_s=summary.speed_deficit,
+                       rest_energy_erg=summary.rest_energy)
     rw, rt = spectral.validity_ratio(params)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "mass-pulse",
-        "energy_erg": summary.energy,
-        "photon_count": summary.photon_count,
-        "mass_g": summary.mass,
-        "speed_deficit_cm_s": summary.speed_deficit,
-        "rest_energy_erg": summary.rest_energy,
-        "wavelength_cm": summary.wavelength,
-        "lambda_over_w": rw,
-        "lambda_over_ctau": rt,
-    }
+    payload.update(wavelength_cm=params.wavelength, lambda_over_w=rw, lambda_over_ctau=rt)
     if args.oracle:
-        dens = spectral.gaussian_spectral_density(params)
-        m_quad = spectral.pulse_mass_quadrature(dens)
+        m_quad = spectral.pulse_mass_quadrature(spectral.gaussian_spectral_density(params))
         payload["mass_quadrature_g"] = m_quad
-        payload["oracle_rel_deviation"] = abs(m_quad - summary.mass) / m_quad
+        if summary is not None:
+            payload["oracle_rel_deviation"] = abs(m_quad - summary.mass) / m_quad
     _emit_json(payload, args.out)
 
 
@@ -299,8 +296,8 @@ def cmd_density(cfg: dict, args) -> None:
             raise ConfigError(f"row {i}: non-numeric field component") from None
     fields = np.array(fields, dtype=float).reshape(-1, 6)
     if args.units == "si":
-        fields[:, :3] *= convert_units(1.0, "field", "V/m", "statvolt/cm")
-        fields[:, 3:] *= convert_units(1.0, "magnetic_field", "T", "G")
+        fields[:, :3] *= convert_units(1.0, "field", *_UNITS["field"])
+        fields[:, 3:] *= convert_units(1.0, "magnetic_field", *_UNITS["magnetic_field"])
     bad = ~np.isfinite(fields).all(axis=1)
     if bad.any():
         raise ConfigError(f"row {int(np.argmax(bad))}: field components must be finite")
@@ -324,13 +321,8 @@ def cmd_sweep(cfg: dict, args) -> None:
         pairs = analytic.w_limit_scaling(base, mode, [v / base.w for v in values])
         rows = []
         for w, mass in pairs:
-            if mode == "fixed_E0":
-                energy = analytic.pulse_energy(
-                    GaussianPulseParams(base.e0, base.tau, w, base.omega0))
-            else:
-                energy = analytic.pulse_energy(base)
-            c_minus_v = C * (mass * C * C) ** 2 / (2.0 * energy * energy)
-            rows.append([_fmt(w), _fmt(mass), _fmt(c_minus_v)])
+            energy = analytic.pulse_energy(replace(base, w=w) if mode == "fixed_E0" else base)
+            rows.append([_fmt(w), _fmt(mass), _fmt(analytic.speed_deficit(mass, energy))])
         _emit_csv(["w_cm", "mass_g", "c_minus_v_cm_s"], rows, args.out)
     elif param in ("w_half", "f"):
         delay_cfg = dict(cfg.get("delay") or {})
@@ -392,8 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (value parsed as JSON)")
         p.add_argument("--units", choices=("si", "cgs"), default="cgs")
-        p.add_argument("--oracle", action="store_true",
-                       help="add the quadrature cross-check (mass-pulse)")
+        if name == "mass-pulse":
+            p.add_argument("--oracle", action="store_true",
+                           help="add the quadrature cross-check")
         p.add_argument("--out", help="write data output to this file")
     return parser
 

@@ -56,8 +56,8 @@ class DelayReport:
 
 def spdc_speed(k_perp_sq_mean: float, k_abs: float) -> float:
     """Axial propagation speed v = c(1 - <k_perp^2>/(2 k^2)) in cm/s."""
-    if k_perp_sq_mean < 0.0 or k_abs <= 0.0:
-        raise ValueError("need <k_perp^2> >= 0 and |k| > 0")
+    if not (0.0 <= k_perp_sq_mean < math.inf and 0.0 < k_abs < math.inf):
+        raise ValueError("need finite <k_perp^2> >= 0 and |k| > 0")
     ratio = k_perp_sq_mean / (2.0 * k_abs * k_abs)
     if ratio >= 1.0:
         raise ValueError("k_perp^2 >= 2 k^2: outside paraxial validity")
@@ -66,8 +66,8 @@ def spdc_speed(k_perp_sq_mean: float, k_abs: float) -> float:
 
 def mass_kperp_correspondence(mass: float, energy: float) -> float:
     """<k_perp^2>/|k|^2 = (m c^2/energy)^2 for the matching ensemble."""
-    if mass < 0.0 or energy <= 0.0:
-        raise ValueError("need mass >= 0 and energy > 0")
+    if not (0.0 <= mass < math.inf and 0.0 < energy < math.inf):
+        raise ValueError("need finite mass >= 0 and energy > 0")
     if mass * C * C > energy:
         raise ValueError("mass c^2 exceeds energy")
     return (mass * C * C / energy) ** 2
@@ -77,8 +77,8 @@ def kperp_ratio_to_mass(ratio: float, energy: float) -> float:
     """Inverse map: mass in g from <k_perp^2>/|k|^2 and energy."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("ratio must lie in [0, 1]")
-    if energy <= 0.0:
-        raise ValueError("energy must be strictly positive")
+    if not 0.0 < energy < math.inf:
+        raise ValueError("energy must be finite and strictly positive")
     return energy * math.sqrt(ratio) / (C * C)
 
 

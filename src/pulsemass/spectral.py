@@ -32,8 +32,10 @@ class ForwardClipWarning(UserWarning):
 # Gaussian factors; the discarded tails are ~exp(-36).
 _WINDOW_SIGMAS = 6.0
 
+# The oracle doubles nodes per axis from _QUAD_BASE_N until two levels agree
+# to _QUAD_REL_TOL in every observable, at most _QUAD_MAX_N.
 _QUAD_BASE_N = 8
-_QUAD_MAX_LEVELS = 10
+_QUAD_MAX_N = 4096
 _QUAD_REL_TOL = 1e-10
 
 # Boundary-field refinement: nodes per axis double from _FIELD_BASE_N until
@@ -112,6 +114,25 @@ class EnergyMomentum:
     energy: float
     pz: float
     photon_count: float
+    deficit: float  # epsilon - c*p_z, integrated directly
+
+
+def _window(params: GaussianPulseParams) -> tuple[float, float, float]:
+    """(kz_min, kz_max, kperp_max): k_z in k0 +- _WINDOW_SIGMAS/(c tau),
+    clipped at 1e-9 k0, and k_perp up to _WINDOW_SIGMAS/w."""
+    k0 = params.omega0 / C
+    dk = _WINDOW_SIGMAS / (C * params.tau)
+    kz_lo = k0 - dk
+    if kz_lo <= 0.0:
+        # weight of the k_z Gaussian exp(-(kz-k0)^2 (c tau)^2) below zero
+        lost = 0.5 * math.erfc(k0 * C * params.tau)
+        if lost > 1e-12:
+            warnings.warn(
+                f"k_z window clipped at zero; {lost:.3e} of the spectral weight "
+                "violates the forward-propagation assumption (pulse too short "
+                "or too wide)", ForwardClipWarning)
+        kz_lo = 1e-9 * k0
+    return kz_lo, k0 + dk, _WINDOW_SIGMAS / params.w
 
 
 def gaussian_spectral_density(params: GaussianPulseParams) -> SpectralDensity:
@@ -121,19 +142,6 @@ def gaussian_spectral_density(params: GaussianPulseParams) -> SpectralDensity:
              * (c^2 k_z/omega_k)^2 * exp(-(omega_k - omega0)^2 tau^2).
     """
     e0, tau, w, omega0 = params.e0, params.tau, params.w, params.omega0
-    k0 = omega0 / C
-    dk = _WINDOW_SIGMAS / (C * tau)
-    kz_lo = k0 - dk
-    kz_hi = k0 + dk
-    if kz_lo <= 0.0:
-        # weight of the k_z Gaussian exp(-(kz-k0)^2 (c tau)^2) below zero
-        lost = 0.5 * math.erfc(k0 * C * tau)
-        if lost > 1e-12:
-            warnings.warn(
-                f"k_z window clipped at zero; {lost:.3e} of the spectral weight "
-                "violates the forward-propagation assumption (pulse too short "
-                "or too wide)", ForwardClipWarning)
-        kz_lo = 1e-9 * k0
 
     def rho(kperp, kz):
         omega = C * np.hypot(kz, kperp)
@@ -142,7 +150,7 @@ def gaussian_spectral_density(params: GaussianPulseParams) -> SpectralDensity:
                 * amp2 * (C * C * kz) ** 2 / omega**3
                 * np.exp(-((omega - omega0) * tau) ** 2))
 
-    return SpectralDensity(rho, kz_lo, kz_hi, _WINDOW_SIGMAS / w)
+    return SpectralDensity(rho, *_window(params))
 
 
 @lru_cache(maxsize=32)
@@ -156,87 +164,85 @@ def _grid(a: float, b: float, n: int):
     return a + half * (x + 1.0), half * w
 
 
-def _tensor_estimate(components, density: SpectralDensity, n: int) -> np.ndarray:
-    """Gauss-Legendre tensor product on n x n nodes over the support window."""
-    kz, wz = _grid(density.kz_min, density.kz_max, n)
-    kp, wp = _grid(0.0, density.kperp_max, n)
+def _nodes(kz_min: float, kz_max: float, kperp_max: float, n: int):
+    """Gauss-Legendre tensor nodes KP, KZ (n x n, k_perp first) over the
+    window, with the per-axis weights wp, wz."""
+    kz, wz = _grid(kz_min, kz_max, n)
+    kp, wp = _grid(0.0, kperp_max, n)
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
-    vals = components(KP, KZ)  # shape (ncomp, n, n)
-    # fixed contraction order keeps the result deterministic per level
-    return np.einsum("cij,i,j->c", vals, wp, wz)
+    return KP, KZ, wp, wz
 
 
-def _dyadic_quad(components, density: SpectralDensity,
-                 rel_tol: float = _QUAD_REL_TOL) -> np.ndarray:
-    """Refine by doubling nodes per axis until successive estimates agree."""
-    prev = None
-    n = _QUAD_BASE_N
-    for _ in range(_QUAD_MAX_LEVELS):
-        cur = _tensor_estimate(components, density, n)
-        if prev is not None:
-            scale = np.maximum(np.abs(cur), np.finfo(float).tiny)
-            if np.all(np.abs(cur - prev) <= rel_tol * scale):
-                return cur
-        prev = cur
+def _refine(estimate: Callable[[int], np.ndarray], n: int, n_max: int,
+            rtol: float, atol: float) -> np.ndarray:
+    """estimate(n) for n doubling up to n_max >= 2n, until two successive
+    levels agree to atol + rtol*|cur| in every component."""
+    cur = estimate(n)
+    while 2 * n <= n_max:
         n *= 2
-    delta = np.abs(cur - prev) / np.maximum(np.abs(cur), np.finfo(float).tiny)
+        prev, cur = cur, estimate(n)
+        delta, tol = np.abs(cur - prev), atol + rtol * np.abs(cur)
+        if np.all(delta <= tol):
+            return cur
+    worst = int(np.argmax(delta - tol))
     raise QuadratureError(
-        f"quadrature did not converge after {_QUAD_MAX_LEVELS} levels "
-        f"(last n per axis {n // 2}, relative deltas {delta})")
+        f"quadrature unresolved at {n} nodes per axis: successive levels "
+        f"differ by {delta[worst]:.3g} > {tol[worst]:.3g}")
 
 
 def integrate_observables(density: SpectralDensity) -> EnergyMomentum:
-    """Energy, z-momentum and photon number by k-space quadrature.
+    """Energy, z-momentum, photon number and the deficit epsilon - c*p_z by
+    one adaptive k-space quadrature.
 
     d^3k = 2 pi k_perp dk_perp dk_z under azimuthal symmetry; the transverse
-    momentum components vanish identically and are never computed.
+    momentum components vanish identically and are never computed.  The
+    deficit integrand omega_k - c*k_z is evaluated as c*k_perp^2/(|k| + k_z),
+    which is exact and free of the catastrophic cancellation of the naive
+    difference.
     """
-    def components(kp, kz):
-        rho = density.amplitude(kp, kz)
-        omega = C * np.hypot(kz, kp)
-        base = 2.0 * math.pi * kp * rho
-        return np.stack([HBAR * omega * base, HBAR * kz * base, base])
+    def estimate(n):
+        KP, KZ, wp, wz = _nodes(density.kz_min, density.kz_max, density.kperp_max, n)
+        rho = density.amplitude(KP, KZ)
+        k = np.hypot(KZ, KP)
+        base = 2.0 * math.pi * KP * rho
+        deficit = C * KP * KP / (k + KZ)
 
-    energy, pz, count = _dyadic_quad(components, density)
-    return EnergyMomentum(float(energy), float(pz), float(count))
+        def total(integrand):
+            # fixed contraction order keeps the result deterministic per level
+            return np.einsum("ij,i,j->", integrand, wp, wz)
+
+        # each integrand is contracted as soon as it is built, so only one
+        # is held at a time
+        return np.array([total(HBAR * (C * k) * base), total(HBAR * KZ * base),
+                         total(base), total(2.0 * math.pi * KP * HBAR * deficit * rho)])
+
+    totals = _refine(estimate, _QUAD_BASE_N, _QUAD_MAX_N,
+                     _QUAD_REL_TOL, _QUAD_REL_TOL * np.finfo(float).tiny)
+    return EnergyMomentum(*map(float, totals))
 
 
 def energy_momentum_deficit(density: SpectralDensity) -> float:
-    """epsilon - c*p_z in erg, as a single integral of a positive integrand.
-
-    omega_k - c*k_z is evaluated as c*k_perp^2/(|k| + k_z), which is exact
-    and free of the catastrophic cancellation of the naive difference.
-    """
-    def components(kp, kz):
-        k = np.hypot(kz, kp)
-        deficit = C * kp * kp / (k + kz)
-        return (2.0 * math.pi * kp * HBAR * deficit * density.amplitude(kp, kz))[None]
-
-    return float(_dyadic_quad(components, density)[0])
+    """epsilon - c*p_z in erg, as a single integral of a positive integrand."""
+    return integrate_observables(density).deficit
 
 
 def pulse_mass_quadrature(density: SpectralDensity) -> float:
     """Invariant mass in g: m^2 c^4 = (eps + c p_z)(eps - c p_z), with the
     second factor taken from the dedicated deficit integral."""
     obs = integrate_observables(density)
-    deficit = energy_momentum_deficit(density)
-    return math.sqrt(max((obs.energy + C * obs.pz) * deficit, 0.0)) / C**2
+    return math.sqrt(max((obs.energy + C * obs.pz) * obs.deficit, 0.0)) / C**2
 
 
-def _field_static(params: GaussianPulseParams, r_perp: float, n: int):
-    """Boundary-field integrand on n x n Gauss-Legendre nodes, flattened:
-    the time-independent amplitude times the weights and the prefactor
-    tau/sqrt(2 pi), k_z, and the dispersion deficit omega_k - c*k_z in its
-    cancellation-free form."""
+def _field_static(params: GaussianPulseParams, r_perp: float, window, n: int):
+    """Boundary-field integrand on n x n Gauss-Legendre nodes over window,
+    flattened: the time-independent amplitude times the weights and the
+    prefactor tau/sqrt(2 pi), k_z, and the dispersion deficit omega_k - c*k_z
+    in its cancellation-free form."""
     # imported here so that only field reconstruction pays for scipy
     from scipy.special import j0
 
     e0, tau, w, omega0 = params.e0, params.tau, params.w, params.omega0
-    k0 = omega0 / C
-    dk = _WINDOW_SIGMAS / (C * tau)
-    kz, wz = _grid(max(k0 - dk, 1e-9 * k0), k0 + dk, n)
-    kp, wp = _grid(0.0, _WINDOW_SIGMAS / w, n)
-    KP, KZ = np.meshgrid(kp, kz, indexing="ij")
+    KP, KZ, wp, wz = _nodes(*window, n)
     k = np.hypot(KZ, KP)
     omega = C * k
     static = (KP * j0(KP * r_perp) * e0 * w * w * np.exp(-KP * KP * w * w / 2.0)
@@ -286,27 +292,15 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    # the phase span over the spectral window is convex in t, so the
-    # earliest and latest times need the most nodes: refine on those two,
-    # then confirm every time between the last two levels
-    probe = times[[times.argmin(), times.argmax()]] if len(times) > 2 else times
-    n = _FIELD_BASE_N
-    coarse = _field_static(params, r_perp, n)
-    prev = _field_sum(coarse, z, probe)
-    while 2 * n <= _FIELD_MAX_N:
-        n *= 2
-        fine = _field_static(params, r_perp, n)
-        cur = _field_sum(fine, z, probe)
-        delta = float(np.max(np.abs(cur - prev), initial=0.0))
-        if delta <= _FIELD_ABS_TOL * params.e0 and probe is not times:
-            probe = times
-            prev = _field_sum(coarse, z, times)
-            cur = _field_sum(fine, z, times)
-            delta = float(np.max(np.abs(cur - prev), initial=0.0))
-        if delta <= _FIELD_ABS_TOL * params.e0:
-            return cur
-        prev, coarse = cur, fine
-    raise QuadratureError(
-        f"boundary field unresolved at {n} nodes per axis (successive levels "
-        f"differ by {delta / params.e0:.3g} e0 > {_FIELD_ABS_TOL:g} e0); "
-        "|t - z/c| or r_perp too large for the spectral window")
+    window = _window(params)
+
+    def estimate(n):
+        return _field_sum(_field_static(params, r_perp, window, n), z, times)
+
+    try:
+        return _refine(estimate, _FIELD_BASE_N, _FIELD_MAX_N,
+                       0.0, _FIELD_ABS_TOL * params.e0)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"boundary field {exc} statvolt/cm; |t - z/c| or r_perp too large "
+            "for the spectral window") from None

@@ -1,6 +1,8 @@
 """Tests for the closed-form paraxial pulse results."""
 
+import dataclasses
 import math
+import warnings
 
 import pytest
 
@@ -146,3 +148,51 @@ class TestScalingAndRestFrame:
     def test_rest_energy_equals_mass_c_squared(self):
         assert rest_frame_energy(1e5, 1e-4, 1.0) == mass_from_energy(
             1e5, 1e-4, 1.0) * C * C
+
+
+class TestOneMassFormula:
+    def test_photon_number_form_is_the_energy_form(self):
+        n = 5.0341e16
+        assert mass_from_photon_number(n, OMEGA0, 2.0) == mass_from_energy(
+            n * HBAR * OMEGA0, 2 * math.pi * C / OMEGA0, 2.0)
+
+    def test_fixed_e0_matches_summarize_at_each_waist(self):
+        for (w, m), f in zip(w_limit_scaling(PAPER_PULSE, "fixed_E0", [0.5, 3.0]),
+                             [0.5, 3.0]):
+            assert w == PAPER_PULSE.w * f
+            assert m == summarize(dataclasses.replace(PAPER_PULSE, w=w)).mass
+
+    def test_fixed_e0_sweep_past_paraxial_limit_is_silent(self):
+        # lambda/w = 1: summarize would raise ParaxialError here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(w, m)] = w_limit_scaling(PAPER_PULSE, "fixed_E0", [LAM])
+        assert m == pytest.approx(summarize(PAPER_PULSE).mass * LAM, rel=1e-14)
+
+    def test_fixed_e0_rejects_a_waist_that_overflows(self):
+        wide = dataclasses.replace(PAPER_PULSE, w=1e10)
+        with pytest.raises(ValueError, match="w must be finite"):
+            w_limit_scaling(wide, "fixed_E0", [1e300])
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("args", [
+        (math.nan, LAM, 1.0), (math.inf, LAM, 1.0), (-1.0, LAM, 1.0),
+        (1e5, math.nan, 1.0), (1e5, 0.0, 1.0), (1e5, LAM, math.nan),
+        (1e5, LAM, math.inf)])
+    def test_mass_from_energy(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            mass_from_energy(*args)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, OMEGA0, 1.0), (math.inf, OMEGA0, 1.0), (-1.0, OMEGA0, 1.0),
+        (1e16, math.nan, 1.0), (1e16, 0.0, 1.0), (1e16, OMEGA0, math.nan)])
+    def test_mass_from_photon_number(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            mass_from_photon_number(*args)
+
+    @pytest.mark.parametrize("mode", ["fixed_E0", "fixed_N"])
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
+    def test_w_limit_scaling_factors(self, mode, factor):
+        with pytest.raises(ValueError, match="finite"):
+            w_limit_scaling(PAPER_PULSE, mode, [1.0, factor])

@@ -11,7 +11,7 @@ import textwrap
 import pytest
 
 import pulsemass
-from pulsemass import density
+from pulsemass import density, spectral
 from pulsemass.cli import MAX_FIELD_SAMPLES, main
 from pulsemass.constants import C
 from pulsemass.units import convert_units
@@ -100,6 +100,38 @@ class TestMassPulse:
         code, _, err = run_cli(capsys, "mass-pulse", "--config", cfg)
         assert code == 2
         assert "config error" in err
+
+
+    def test_oracle_alone_past_paraxial_limit(self, tmp_path, capsys):
+        # lambda/w = 0.625: summarize raises ParaxialError, the oracle converges
+        pulse = {"e0": 1.0, "tau": 1e-12, "w": 1.6e-4, "lambda": 1e-4}
+        cfg = write_config(tmp_path, "c.json", pulse)
+        code, out, err = run_cli(capsys, "mass-pulse", "--config", cfg, "--oracle")
+        assert code == 0, err
+        data = json.loads(out)
+        assert list(data) == ["schema_version", "command", "wavelength_cm",
+                              "lambda_over_w", "lambda_over_ctau", "mass_quadrature_g"]
+        assert float(data["lambda_over_w"]) == pytest.approx(0.625, rel=1e-12)
+        params = pulsemass.GaussianPulseParams(
+            1.0, 1e-12, 1.6e-4, 2 * math.pi * C / 1e-4)
+        assert float(data["mass_quadrature_g"]) == pulsemass.pulse_mass_quadrature(
+            pulsemass.gaussian_spectral_density(params))
+
+    def test_past_paraxial_limit_without_oracle_points_at_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json",
+                           {"e0": 1.0, "tau": 1e-12, "w": 1.6e-4, "lambda": 1e-4})
+        code, out, err = run_cli(capsys, "mass-pulse", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "--oracle" in err
+
+    def test_unresolved_oracle_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "_QUAD_MAX_N", 16)
+        cfg = write_config(tmp_path, "c.json", PULSE_CGS)
+        code, out, err = run_cli(capsys, "mass-pulse", "--config", cfg, "--oracle")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: QuadratureError: ")
 
 
 class TestSpeedAndDelay:
@@ -443,6 +475,14 @@ class TestPlumbing:
             _, out, _ = run_cli(capsys, "mass-pulse", "--config", cfg)
             outs.add(out)
         assert len(outs) == 1
+
+    @pytest.mark.parametrize("command", [
+        "mass-discrete", "speed", "delay", "density", "sweep", "field-profile"])
+    def test_oracle_is_a_mass_pulse_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--oracle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
     def test_bad_set_syntax(self, capsys):
         code, _, _ = run_cli(capsys, "mass-pulse", "--set", "nonsense")

@@ -146,3 +146,25 @@ class TestGain:
         ld = 2 * math.pi * w_half**2 / lam
         cfg = ExperimentConfig(w_half=w_half, f=ld, source=src)
         assert gain_over_intrinsic(cfg) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+        (0.0, math.nan), (0.0, math.inf), (0.0, 0.0)])
+    def test_spdc_speed(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            spdc_speed(*args)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1e5), (math.inf, 1e5), (-1.0, 1e5),
+        (0.0, math.nan), (0.0, math.inf), (0.0, 0.0)])
+    def test_mass_kperp_correspondence(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            mass_kperp_correspondence(*args)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1e5), (1.5, 1e5), (0.5, math.nan), (0.5, math.inf), (0.5, 0.0)])
+    def test_kperp_ratio_to_mass(self, args):
+        with pytest.raises(ValueError):
+            kperp_ratio_to_mass(*args)

@@ -1,5 +1,6 @@
 """Tests for the spectral photon density and its k-space quadrature."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -289,3 +290,40 @@ class TestParams:
     def test_non_finite_energy_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             GaussianPulseParams.from_energy(bad, 1e-12, 1.0, 1e15)
+
+
+class TestQuadratureEngine:
+    def test_oracle_evaluates_amplitude_once_per_level(self):
+        # one 4-component pass: 8, 16, 32 and 64 nodes per axis
+        d = gaussian_spectral_density(params_for(1e-3, 1e-2))
+        calls = []
+
+        def counting(kp, kz):
+            calls.append(kp.shape)
+            return d.amplitude(kp, kz)
+
+        pulse_mass_quadrature(dataclasses.replace(d, amplitude=counting))
+        assert calls == [(8, 8), (16, 16), (32, 32), (64, 64)]
+
+    def test_deficit_is_a_component_of_the_one_pass(self):
+        d = gaussian_spectral_density(params_for(1e-2, 1e-2))
+        obs = integrate_observables(d)
+        assert obs.deficit == energy_momentum_deficit(d)
+        assert pulse_mass_quadrature(d) == math.sqrt(
+            (obs.energy + C * obs.pz) * obs.deficit) / C**2
+
+    def test_node_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_QUAD_MAX_N", 16)
+        d = gaussian_spectral_density(params_for(1e-3, 1e-2))
+        with pytest.raises(QuadratureError, match="unresolved at 16 nodes"):
+            integrate_observables(d)
+
+    def test_field_shares_the_density_window(self):
+        # a pulse of a few cycles clips the k_z window at zero for both
+        p = GaussianPulseParams(1.0, 0.3 * LAM / C, 1.0, 2 * math.pi * C / LAM)
+        with pytest.warns(ForwardClipWarning):
+            d = gaussian_spectral_density(p)
+        with pytest.warns(ForwardClipWarning):
+            field_at(p, 0.0, 0.0, 0.0)
+        with pytest.warns(ForwardClipWarning):
+            assert spectral._window(p) == (d.kz_min, d.kz_max, d.kperp_max)
