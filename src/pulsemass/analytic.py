@@ -54,19 +54,21 @@ def _check_paraxial(params: GaussianPulseParams) -> tuple[float, float]:
     return rw, rt
 
 
-def _e0_squared(params: GaussianPulseParams) -> float:
-    """e0^2, with an OverflowError that names e0 where it leaves the range."""
+def _squared(name: str, value: float, unit: str) -> float:
+    """value^2, with an OverflowError that names the quantity where it
+    leaves the range."""
     try:
-        return params.e0**2
+        return value**2
     except OverflowError:
         raise OverflowError(
-            f"e0 = {params.e0:.6g} statvolt/cm: e0^2 overflows, so the pulse "
+            f"{name} = {value:.6g} {unit}: {name}^2 overflows, so the pulse "
             "energy and mass are out of floating-point range") from None
 
 
 def pulse_energy(params: GaussianPulseParams) -> float:
     """Paraxial pulse energy sqrt(pi)*c*tau*w^2*E0^2/8 in erg."""
-    return math.sqrt(math.pi) * C * params.tau * params.w**2 * _e0_squared(params) / 8.0
+    return (math.sqrt(math.pi) * C * params.tau * _squared("w", params.w, "cm")
+            * _squared("e0", params.e0, "statvolt/cm") / 8.0)
 
 
 def speed_deficit(mass: float, energy: float) -> float:
@@ -77,7 +79,8 @@ def speed_deficit(mass: float, energy: float) -> float:
 def _closed_forms(params: GaussianPulseParams) -> PulseSummary:
     """summarize without the paraxial check."""
     energy = pulse_energy(params)
-    mass = math.sqrt(math.pi) * params.tau * params.w * _e0_squared(params) / (8.0 * params.omega0)
+    mass = (math.sqrt(math.pi) * params.tau * params.w
+            * _squared("e0", params.e0, "statvolt/cm") / (8.0 * params.omega0))
     return PulseSummary(
         energy=energy,
         photon_count=energy / (HBAR * params.omega0),

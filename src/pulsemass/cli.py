@@ -58,30 +58,6 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _json_dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(f'{pad}  {json.dumps(k)}: {_json_dumps(v, indent + 1)}'
-                           for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_json_dumps(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
-
-
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config:
@@ -123,15 +99,19 @@ def _num(cfg: dict, key: str, kind: str | None, units: str, *,
     return value
 
 
+def _omega(cfg: dict, key: str, units: str, what: str) -> float:
+    """Angular frequency in rad/s from cfg[key], else from cfg["lambda"]."""
+    if key in cfg:
+        return _num(cfg, key, None, units)
+    if "lambda" in cfg:
+        return 2.0 * math.pi * C / _num(cfg, "lambda", "length", units)
+    raise ConfigError(f"{what} needs {key!r} or 'lambda'")
+
+
 def _pulse_params(cfg: dict, units: str) -> GaussianPulseParams:
     tau = _num(cfg, "tau", "time", units)
     w = _num(cfg, "w", "length", units)
-    if "omega0" in cfg:
-        omega0 = _num(cfg, "omega0", None, units)
-    elif "lambda" in cfg:
-        omega0 = 2.0 * math.pi * C / _num(cfg, "lambda", "length", units)
-    else:
-        raise ConfigError("pulse needs 'omega0' or 'lambda'")
+    omega0 = _omega(cfg, "omega0", units, "pulse")
     if "e0" in cfg:
         return GaussianPulseParams(_num(cfg, "e0", "field", units), tau, w, omega0)
     if "energy" in cfg:
@@ -145,23 +125,25 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    text = _json_dumps(payload) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(header: list[str], rows: list[list[str]], out_path: str | None) -> None:
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(command: str, fields: dict, out_path: str | None) -> None:
+    """One flat JSON object, a key per line; floats in _fmt notation, other
+    values (strings, booleans, None) as JSON."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    items = (f"  {json.dumps(k)}: {_fmt(v) if isinstance(v, float) else json.dumps(v)}"
+             for k, v in payload.items())
+    _emit("{\n" + ",\n".join(items) + "\n}\n", out_path)
+
+
+def _emit_csv(header: list[str], rows: list[list[str]], out_path: str | None) -> None:
+    _emit("\n".join(",".join(r) for r in [header, *rows]) + "\n", out_path)
 
 
 def _photon_modes(cfg: dict, units: str) -> kinematics.PhotonEnsemble:
@@ -172,12 +154,7 @@ def _photon_modes(cfg: dict, units: str) -> kinematics.PhotonEnsemble:
     for i, ph in enumerate(photons):
         if not isinstance(ph, dict):
             raise ConfigError(f"photon {i} must be an object")
-        if "omega" in ph:
-            omega = _num(ph, "omega", None, units)
-        elif "lambda" in ph:
-            omega = 2.0 * math.pi * C / _num(ph, "lambda", "length", units)
-        else:
-            raise ConfigError(f"photon {i} needs 'omega' or 'lambda'")
+        omega = _omega(ph, "omega", units, f"photon {i}")
         theta = math.radians(_num(ph, "theta_deg", None, units))
         phi = math.radians(_num(ph, "phi_deg", None, units,
                                 required=False, default=0.0))
@@ -195,9 +172,7 @@ def cmd_mass_discrete(cfg: dict, args) -> None:
         beta_rest = kinematics.rest_frame(p).beta
     except ValueError:
         beta_rest = None
-    _emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "mass-discrete",
+    _emit_json("mass-discrete", {
         "mass_g": mass,
         "velocity_cm_s": v,
         "energy_erg": p.e_over_c * C,
@@ -212,55 +187,50 @@ def cmd_mass_pulse(cfg: dict, args) -> None:
     params = _pulse_params(cfg, args.units)
     try:
         summary = analytic.summarize(params)
-    except analytic.ParaxialError as exc:
+    except analytic.ParaxialError:
         if not args.oracle:
-            raise ConfigError(f"{exc} (mass-pulse --oracle)") from None
+            raise
         summary = None
-    payload = {"schema_version": SCHEMA_VERSION, "command": "mass-pulse"}
+    fields = {}
     if summary is not None:
-        payload.update(energy_erg=summary.energy, photon_count=summary.photon_count,
-                       mass_g=summary.mass, speed_deficit_cm_s=summary.speed_deficit,
-                       rest_energy_erg=summary.rest_energy)
+        fields.update(energy_erg=summary.energy, photon_count=summary.photon_count,
+                      mass_g=summary.mass, speed_deficit_cm_s=summary.speed_deficit,
+                      rest_energy_erg=summary.rest_energy)
     rw, rt = spectral.validity_ratio(params)
-    payload.update(wavelength_cm=params.wavelength, lambda_over_w=rw, lambda_over_ctau=rt)
+    fields.update(wavelength_cm=params.wavelength, lambda_over_w=rw, lambda_over_ctau=rt)
     if args.oracle:
         m_quad = spectral.pulse_mass_quadrature(spectral.gaussian_spectral_density(params))
-        payload["mass_quadrature_g"] = m_quad
+        fields["mass_quadrature_g"] = m_quad
         if summary is not None:
-            payload["oracle_rel_deviation"] = abs(m_quad - summary.mass) / m_quad
-    _emit_json(payload, args.out)
+            fields["oracle_rel_deviation"] = abs(m_quad - summary.mass) / m_quad
+    _emit_json("mass-pulse", fields, args.out)
 
 
 def cmd_speed(cfg: dict, args) -> None:
     params = _pulse_params(cfg, args.units)
     summary = analytic.summarize(params)
-    _emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "speed",
+    _emit_json("speed", {
         "v_cm_s": C - summary.speed_deficit,
         "c_minus_v_cm_s": summary.speed_deficit,
         "c_minus_v_over_c": summary.speed_deficit / C,
     }, args.out)
 
 
-def _experiment_config(cfg: dict, units: str) -> experiment.ExperimentConfig:
+def _experiment_config(cfg: dict, units: str, **cgs: float) -> experiment.ExperimentConfig:
+    """cgs holds lengths already in cm (a sweep value) that replace config keys."""
     source_cfg = cfg.get("source")
     if not isinstance(source_cfg, dict):
         raise ConfigError("'source' must be an object with the pulse parameters")
-    return experiment.ExperimentConfig(
-        w_half=_num(cfg, "w_half", "length", units),
-        f=_num(cfg, "f", "length", units),
-        source=_pulse_params(source_cfg, units),
-    )
+    lengths = {key: cgs[key] if key in cgs else _num(cfg, key, "length", units)
+               for key in ("w_half", "f")}
+    return experiment.ExperimentConfig(**lengths, source=_pulse_params(source_cfg, units))
 
 
 def cmd_delay(cfg: dict, args) -> None:
     config = _experiment_config(cfg, args.units)
     report = experiment.channel_delay(config)
     gain = experiment.gain_over_intrinsic(config)
-    _emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "delay",
+    _emit_json("delay", {
         "v_channel_cm_s": report.v_channel,
         "v_over_c": report.v_channel / C,
         "delta_l_cm": report.delta_l,
@@ -311,7 +281,8 @@ def cmd_sweep(cfg: dict, args) -> None:
     values = cfg.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("'values' must be a non-empty list")
-    values = [_num({"v": v}, "v", "length", args.units) for v in values]
+    keyed = {f"values[{i}]": v for i, v in enumerate(values)}
+    values = [_num(keyed, key, "length", args.units) for key in keyed]
     if param == "w":
         pulse_cfg = cfg.get("pulse")
         if not isinstance(pulse_cfg, dict):
@@ -325,14 +296,13 @@ def cmd_sweep(cfg: dict, args) -> None:
             rows.append([_fmt(w), _fmt(mass), _fmt(analytic.speed_deficit(mass, energy))])
         _emit_csv(["w_cm", "mass_g", "c_minus_v_cm_s"], rows, args.out)
     elif param in ("w_half", "f"):
-        delay_cfg = dict(cfg.get("delay") or {})
-        if not delay_cfg:
+        delay_cfg = cfg.get("delay")
+        if not (isinstance(delay_cfg, dict) and delay_cfg):
             raise ConfigError("'delay' must hold the experiment configuration")
         rows = []
         for v in values:
-            delay_cfg[param] = v if args.units == "cgs" else v / 100.0
-            config = _experiment_config(delay_cfg, args.units)
-            report = experiment.channel_delay(config)
+            report = experiment.channel_delay(
+                _experiment_config(delay_cfg, args.units, **{param: v}))
             rows.append([_fmt(v), _fmt(report.v_channel / C), _fmt(report.delta_l)])
         _emit_csv([f"{param}_cm", "v_over_c", "delta_l_cm"], rows, args.out)
     else:
@@ -401,7 +371,11 @@ def main(argv=None) -> int:
         except (QuadratureError, ArithmeticError) as exc:
             print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        except (ConfigError, ValueError, KeyError) as exc:
+        except analytic.ParaxialError as exc:
+            # only the quadrature oracle holds past the paraxial limit
+            print(f"config error: {exc} (mass-pulse --oracle)", file=sys.stderr)
+            return EXIT_CONFIG
+        except ValueError as exc:  # ConfigError included
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except OSError as exc:

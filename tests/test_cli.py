@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -44,11 +45,11 @@ class TestMassDiscrete:
         assert code == 0
         data = json.loads(out)
         assert data["schema_version"] == "1"
-        assert float(data["mass_g"]) == pytest.approx(3.1258e-33, rel=1e-3)
+        assert float(data["mass_g"]) == pytest.approx(3.1258e-33, rel=1e-3, abs=0)
         assert float(data["velocity_cm_s"]) == pytest.approx(
-            C * math.cos(math.radians(45.0)), rel=1e-12)
+            C * math.cos(math.radians(45.0)), rel=1e-12, abs=0)
         assert float(data["beta_rest"]) == pytest.approx(
-            math.cos(math.radians(45.0)), rel=1e-12)
+            math.cos(math.radians(45.0)), rel=1e-12, abs=0)
 
     def test_massless_has_null_beta_rest(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"photons": [
@@ -65,7 +66,7 @@ class TestMassDiscrete:
         code, out, _ = run_cli(capsys, "mass-discrete", "--config", cfg,
                                "--units", "si")
         assert code == 0
-        assert float(json.loads(out)["mass_g"]) == pytest.approx(3.1258e-33, rel=1e-3)
+        assert float(json.loads(out)["mass_g"]) == pytest.approx(3.1258e-33, rel=1e-3, abs=0)
 
 
 class TestMassPulse:
@@ -74,9 +75,9 @@ class TestMassPulse:
         code, out, _ = run_cli(capsys, "mass-pulse", "--config", cfg)
         assert code == 0
         data = json.loads(out)
-        assert float(data["mass_g"]) == pytest.approx(1.77e-21, rel=1e-2)
-        assert float(data["photon_count"]) == pytest.approx(5.034e16, rel=1e-3)
-        assert float(data["energy_erg"]) == pytest.approx(1e5, rel=1e-12)
+        assert float(data["mass_g"]) == pytest.approx(1.77e-21, rel=1e-2, abs=0)
+        assert float(data["photon_count"]) == pytest.approx(5.034e16, rel=1e-3, abs=0)
+        assert float(data["energy_erg"]) == pytest.approx(1e5, rel=1e-12, abs=0)
 
     def test_oracle_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
@@ -86,14 +87,14 @@ class TestMassPulse:
         data = json.loads(out)
         assert float(data["oracle_rel_deviation"]) < 1e-3
         assert float(data["mass_quadrature_g"]) == pytest.approx(
-            float(data["mass_g"]), rel=1e-3)
+            float(data["mass_g"]), rel=1e-3, abs=0)
 
     def test_set_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", PULSE_CGS)
         code, out, _ = run_cli(capsys, "mass-pulse", "--config", cfg,
                                "--set", "energy=2e5")
         assert code == 0
-        assert float(json.loads(out)["energy_erg"]) == pytest.approx(2e5, rel=1e-12)
+        assert float(json.loads(out)["energy_erg"]) == pytest.approx(2e5, rel=1e-12, abs=0)
 
     def test_missing_key_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"tau": 1e-12})
@@ -111,7 +112,7 @@ class TestMassPulse:
         data = json.loads(out)
         assert list(data) == ["schema_version", "command", "wavelength_cm",
                               "lambda_over_w", "lambda_over_ctau", "mass_quadrature_g"]
-        assert float(data["lambda_over_w"]) == pytest.approx(0.625, rel=1e-12)
+        assert float(data["lambda_over_w"]) == pytest.approx(0.625, rel=1e-12, abs=0)
         params = pulsemass.GaussianPulseParams(
             1.0, 1e-12, 1.6e-4, 2 * math.pi * C / 1e-4)
         assert float(data["mass_quadrature_g"]) == pulsemass.pulse_mass_quadrature(
@@ -140,7 +141,7 @@ class TestSpeedAndDelay:
         code, out, _ = run_cli(capsys, "speed", "--config", cfg)
         assert code == 0
         data = json.loads(out)
-        assert float(data["c_minus_v_over_c"]) == pytest.approx(1.2665e-10, rel=1e-4)
+        assert float(data["c_minus_v_over_c"]) == pytest.approx(1.2665e-10, rel=1e-4, abs=0)
 
     def test_delay_paper_example(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
@@ -148,9 +149,17 @@ class TestSpeedAndDelay:
         code, out, _ = run_cli(capsys, "delay", "--config", cfg)
         assert code == 0
         data = json.loads(out)
-        assert float(data["delta_l_mm"]) == pytest.approx(0.5, rel=1e-12)
+        assert float(data["delta_l_mm"]) == pytest.approx(0.5, rel=1e-12, abs=0)
         assert data["separated"] is True
-        assert float(data["v_over_c"]) == pytest.approx(0.995, rel=1e-12)
+        assert float(data["v_over_c"]) == pytest.approx(0.995, rel=1e-12, abs=0)
+
+    def test_speed_past_paraxial_limit_points_at_oracle(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json",
+                           {"e0": 1.0, "tau": 1e-12, "w": 1.6e-4, "lambda": 1e-4})
+        code, out, err = run_cli(capsys, "speed", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.endswith("use spectral oracle (mass-pulse --oracle)\n")
 
 
 class TestDensityCommand:
@@ -169,7 +178,7 @@ class TestDensityCommand:
         assert lines[0] == "x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz,mu"
         assert float(lines[1].split(",")[-1]) == 0.0
         assert float(lines[2].split(",")[-1]) == pytest.approx(
-            3.0 / (8 * math.pi * C * C), rel=1e-12)
+            3.0 / (8 * math.pi * C * C), rel=1e-12, abs=0)
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"input": str(tmp_path / "nope.csv")})
@@ -232,7 +241,7 @@ class TestDensityCommand:
         lines = out.splitlines()
         assert len(lines) == 10_001
         assert float(lines[-1].split(",")[-1]) == pytest.approx(
-            3.0 / (8 * math.pi * C * C), rel=1e-15)
+            3.0 / (8 * math.pi * C * C), rel=1e-15, abs=0)
 
 
 class TestSweep:
@@ -245,8 +254,8 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[0] == "w_cm,mass_g,c_minus_v_cm_s"
         masses = [float(line.split(",")[1]) for line in lines[1:]]
-        assert masses[0] / masses[1] == pytest.approx(2.0, rel=1e-12)
-        assert masses[0] / masses[2] == pytest.approx(4.0, rel=1e-12)
+        assert masses[0] / masses[1] == pytest.approx(2.0, rel=1e-12, abs=0)
+        assert masses[0] / masses[2] == pytest.approx(4.0, rel=1e-12, abs=0)
 
     def test_delay_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
@@ -257,7 +266,24 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[0] == "f_cm,v_over_c,delta_l_cm"
         deltas = [float(line.split(",")[2]) for line in lines[1:]]
-        assert deltas[0] / deltas[1] == pytest.approx(2.0, rel=1e-12)
+        assert deltas[0] / deltas[1] == pytest.approx(2.0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_bad_value_is_named(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, "c.json", {
+            "parameter": "w", "values": [1.0, bad], "pulse": PULSE_CGS})
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: config key 'values[1]' must be a number\n"
+
+    def test_delay_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json",
+                           {"parameter": "f", "values": [5.0], "delay": 5})
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "'delay' must hold the experiment configuration" in err
 
 
 class TestFieldProfile:
@@ -317,6 +343,18 @@ class TestNonFinite:
         assert out == ""
         assert err.startswith("numerical error: OverflowError: e0 = 1e+200")
         assert "energy" in err
+
+    @pytest.mark.parametrize("command, payload, overrides", [
+        ("mass-pulse", PULSE_CGS, ["--set", "w=1e200", "--set", "e0=1e-100"]),
+        ("sweep", {"parameter": "w", "values": [1e200], "mode": "fixed_E0",
+                   "pulse": PULSE_CGS}, []),
+    ])
+    def test_overflow_names_w(self, tmp_path, capsys, command, payload, overrides):
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out, err = run_cli(capsys, command, "--config", cfg, *overrides)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: OverflowError: w = 1e+200 cm: w^2 overflows")
 
     def test_non_finite_result_is_numerical_error(self, tmp_path, capsys):
         # finite inputs whose photon energy sum overflows to inf
@@ -458,6 +496,34 @@ class TestImportGraph:
             exact = (e0 * math.exp(-0.75**2 / (2 * w * w)) * math.sin(omega0 * t)
                      * math.exp(-t * t / (2 * tau * tau)))
             assert abs(float(e_raw) - exact) <= 1e-4 * e0
+
+
+# The stdout of six commands on the configs above, captured once and
+# compared byte for byte; --units si reads the same numbers as SI values.
+GOLDEN_CONFIGS = {
+    "mass-discrete": {"photons": [{"lambda": 1e-4, "theta_deg": 45.0, "weight": 1.0},
+                                  {"lambda": 1e-4, "theta_deg": -45.0, "weight": 1.0}]},
+    "mass-pulse": PULSE_CGS,
+    "speed": PULSE_CGS,
+    "delay": {"w_half": 0.5, "f": 5.0, "source": PULSE_CGS},
+    "sweep-w": {"parameter": "w", "values": [0.5, 1.0, 2.0], "mode": "fixed_N",
+                "pulse": PULSE_CGS},
+    "sweep-f": {"parameter": "f", "values": [5.0, 10.0],
+                "delay": {"w_half": 0.5, "source": PULSE_CGS}},
+}
+GOLDEN_STDOUT = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden_stdout.json").read_text())
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("units", ["cgs", "si"])
+    @pytest.mark.parametrize("case", list(GOLDEN_CONFIGS))
+    def test_stdout_bytes(self, tmp_path, capsys, case, units):
+        cfg = write_config(tmp_path, "c.json", GOLDEN_CONFIGS[case])
+        command = "sweep" if case.startswith("sweep") else case
+        code, out, err = run_cli(capsys, command, "--config", cfg, "--units", units)
+        assert code == 0, err
+        assert out == GOLDEN_STDOUT[f"{case}/{units}"]
 
 
 class TestPlumbing:

@@ -24,11 +24,11 @@ class TestMassDensity:
     def test_pure_electric_sample(self):
         e0 = 2.5
         s = FieldSample((e0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        assert mass_density(s) == pytest.approx(e0**2 / (8 * math.pi * C * C), rel=1e-14)
+        assert mass_density(s) == pytest.approx(e0**2 / (8 * math.pi * C * C), rel=1e-14, abs=0)
 
     def test_crossed_unequal_fields(self):
         s = FieldSample((2.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        assert mass_density(s) == pytest.approx(3.0 / (8 * math.pi * C * C), rel=1e-14)
+        assert mass_density(s) == pytest.approx(3.0 / (8 * math.pi * C * C), rel=1e-14, abs=0)
 
     def test_dual_form_identity_fuzz(self):
         rng = np.random.default_rng(5)

@@ -33,7 +33,8 @@ class TestSpdcSpeed:
 
     def test_plug_in(self):
         k = OMEGA0 / C
-        assert (C - spdc_speed(2e-10 * k * k, k)) / C == pytest.approx(1e-10, rel=1e-12)
+        # (C - v)/C itself keeps only ~7 digits after the subtraction
+        assert spdc_speed(2e-10 * k * k, k) == pytest.approx(C * (1 - 1e-10), rel=1e-15, abs=0)
 
     def test_outside_validity(self):
         with pytest.raises(ValueError):
@@ -47,13 +48,13 @@ class TestCorrespondence:
     def test_gaussian_pulse_ratio(self):
         s = summarize(SOURCE)
         ratio = mass_kperp_correspondence(s.mass, s.energy)
-        assert ratio == pytest.approx((LAM / (2 * math.pi * SOURCE.w)) ** 2, rel=1e-12)
+        assert ratio == pytest.approx((LAM / (2 * math.pi * SOURCE.w)) ** 2, rel=1e-12, abs=0)
 
     def test_round_trip_identity(self):
         m = 1.77e-21
         energy = 1e5
         ratio = mass_kperp_correspondence(m, energy)
-        assert kperp_ratio_to_mass(ratio, energy) == pytest.approx(m, rel=1e-12)
+        assert kperp_ratio_to_mass(ratio, energy) == pytest.approx(m, rel=1e-12, abs=0)
 
     def test_overweight_rejected(self):
         with pytest.raises(ValueError):
@@ -66,29 +67,29 @@ class TestCorrespondence:
         k = OMEGA0 / C
         ratio = mass_kperp_correspondence(s.mass, s.energy)
         v = spdc_speed(ratio * k * k, k)
-        assert v == pytest.approx(C - s.speed_deficit, rel=1e-12)
+        assert v == pytest.approx(C - s.speed_deficit, rel=1e-12, abs=0)
         # the deficit itself only survives to ~C*eps/deficit after the
         # subtraction from C, hence the looser relative tolerance
-        assert C - v == pytest.approx(s.speed_deficit, rel=1e-6)
+        assert C - v == pytest.approx(s.speed_deficit, rel=1e-6, abs=0)
 
 
 class TestFocusKperp:
     def test_plug_in(self):
         got = focus_kperp(config())
-        assert got == pytest.approx(0.1 * 2 * math.pi * 1e4, rel=1e-12)
+        assert got == pytest.approx(0.1 * 2 * math.pi * 1e4, rel=1e-12, abs=0)
 
     def test_long_focal_length_limit(self):
         assert focus_kperp(config(w_half=0.5, f=1e6)) < 1e-5 * focus_kperp(config())
 
     def test_linear_in_inverse_f(self):
         assert focus_kperp(config(f=5.0)) / focus_kperp(config(f=10.0)) == \
-            pytest.approx(2.0, rel=1e-12)
+            pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 class TestChannelDelay:
     def test_paper_delay_example(self):
         report = channel_delay(config())
-        assert report.delta_l == pytest.approx(0.05, rel=1e-12)
+        assert report.delta_l == pytest.approx(0.05, rel=1e-12, abs=0)
 
     def test_separated_for_picosecond_pulse(self):
         report = channel_delay(config())  # c*tau = 0.03 cm < 0.05 cm
@@ -96,14 +97,14 @@ class TestChannelDelay:
 
     def test_velocity(self):
         report = channel_delay(config())
-        assert report.v_channel / C == pytest.approx(0.995, rel=1e-12)
+        assert report.v_channel / C == pytest.approx(0.995, rel=1e-12, abs=0)
 
     def test_delay_identity(self):
         for w_half, f in ((0.5, 5.0), (0.3, 7.0), (0.1, 2.0)):
             r = channel_delay(config(w_half=w_half, f=f))
             assert r.delta_l == pytest.approx(
-                2 * f * (1 - r.v_channel / C), rel=1e-12)
-            assert r.delta_l == pytest.approx(w_half**2 / f, rel=1e-12)
+                2 * f * (1 - r.v_channel / C), rel=1e-12, abs=0)
+            assert r.delta_l == pytest.approx(w_half**2 / f, rel=1e-12, abs=0)
 
     def test_delay_monotonicity(self):
         d1 = channel_delay(config(w_half=0.3, f=5.0)).delta_l
@@ -133,8 +134,8 @@ class TestChannelDelay:
 class TestGain:
     def test_plug_in(self):
         got = gain_over_intrinsic(config())
-        assert got == pytest.approx(2 * math.pi * 0.25 / (1e-4 * 5.0), rel=1e-12)
-        assert got == pytest.approx(3.14e3, rel=1e-2)
+        assert got == pytest.approx(2 * math.pi * 0.25 / (1e-4 * 5.0), rel=1e-12, abs=0)
+        assert got == pytest.approx(3.14e3, rel=1e-2, abs=0)
 
     def test_f_equal_ld_gives_unity(self):
         w_half = 0.5
@@ -145,7 +146,7 @@ class TestGain:
         src = GaussianPulseParams.from_energy(1e5, 1e-9, 50.0, 2 * math.pi * C / lam)
         ld = 2 * math.pi * w_half**2 / lam
         cfg = ExperimentConfig(w_half=w_half, f=ld, source=src)
-        assert gain_over_intrinsic(cfg) == pytest.approx(1.0, rel=1e-12)
+        assert gain_over_intrinsic(cfg) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 class TestNonFiniteArguments:

@@ -47,14 +47,14 @@ class TestTotalFourMomentum:
         ens = PhotonEnsemble((PhotonMode(OMEGA, (0.0, 0.0, 1.0)),))
         p = total_four_momentum(ens)
         scale = HBAR * OMEGA / C
-        assert p.e_over_c == pytest.approx(scale, rel=1e-15)
+        assert p.e_over_c == pytest.approx(scale, rel=1e-15, abs=0)
         assert p.px == 0.0 and p.py == 0.0
-        assert p.pz == pytest.approx(scale, rel=1e-15)
+        assert p.pz == pytest.approx(scale, rel=1e-15, abs=0)
 
     def test_symmetric_pair_hand_sum(self):
         theta = 0.3
         p = total_four_momentum(symmetric_pair(theta))
-        assert p.pz == pytest.approx(2 * HBAR * OMEGA / C * math.cos(theta), rel=1e-14)
+        assert p.pz == pytest.approx(2 * HBAR * OMEGA / C * math.cos(theta), rel=1e-14, abs=0)
         assert p.px == pytest.approx(0.0, abs=1e-30)
 
     def test_linearity_in_weights(self):
@@ -63,8 +63,8 @@ class TestTotalFourMomentum:
         ensn = PhotonEnsemble((PhotonMode.from_angles(OMEGA, 0.4, 0.1, float(n)),))
         p1 = total_four_momentum(ens1)
         pn = total_four_momentum(ensn)
-        assert pn.e_over_c == pytest.approx(n * p1.e_over_c, rel=1e-15)
-        assert pn.pz == pytest.approx(n * p1.pz, rel=1e-15)
+        assert pn.e_over_c == pytest.approx(n * p1.e_over_c, rel=1e-15, abs=0)
+        assert pn.pz == pytest.approx(n * p1.pz, rel=1e-15, abs=0)
 
     def test_empty_ensemble_raises(self):
         with pytest.raises(ValueError):
@@ -76,13 +76,13 @@ class TestInvariantMass:
     def test_two_photon_pair(self, theta_deg):
         theta = math.radians(theta_deg)
         m = invariant_mass(total_four_momentum(symmetric_pair(theta)))
-        assert m == pytest.approx(2 * HBAR * OMEGA / C**2 * math.sin(theta), rel=1e-12)
+        assert m == pytest.approx(2 * HBAR * OMEGA / C**2 * math.sin(theta), rel=1e-12, abs=0)
 
     def test_n_plus_n_scaling(self):
         theta = math.radians(20.0)
         m1 = invariant_mass(total_four_momentum(symmetric_pair(theta, weight=1.0)))
         mn = invariant_mass(total_four_momentum(symmetric_pair(theta, weight=1e6)))
-        assert mn / m1 == pytest.approx(1e6, rel=1e-12)
+        assert mn / m1 == pytest.approx(1e6, rel=1e-12, abs=0)
 
     def test_collinear_is_massless(self):
         ens = PhotonEnsemble((
@@ -100,11 +100,20 @@ class TestPairwiseMass:
     def test_two_photon_matches_closed_form(self):
         theta = math.radians(30.0)
         m = pairwise_invariant_mass(symmetric_pair(theta))
-        assert m == pytest.approx(2 * HBAR * OMEGA / C**2 * math.sin(theta), rel=1e-12)
+        assert m == pytest.approx(2 * HBAR * OMEGA / C**2 * math.sin(theta), rel=1e-12, abs=0)
 
     def test_single_mode_zero(self):
         ens = PhotonEnsemble((PhotonMode(OMEGA, (0.0, 0.0, 1.0)),))
         assert pairwise_invariant_mass(ens) == 0.0
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-8])
+    def test_near_collinear_pair_is_exact(self, theta):
+        # 1 - cos(theta) rounds away here; the closed forms do not
+        ens = symmetric_pair(theta)
+        assert pairwise_invariant_mass(ens) == pytest.approx(
+            2 * HBAR * OMEGA / C**2 * math.sin(theta), rel=1e-15, abs=0)
+        assert collinear_energy_deficit(ens) == pytest.approx(
+            4 * HBAR * OMEGA * math.sin(theta / 2) ** 2, rel=1e-15, abs=0)
 
     def test_matches_total_form_on_random_ensembles(self):
         rng = np.random.default_rng(42)
@@ -112,19 +121,19 @@ class TestPairwiseMass:
             ens = random_ensemble(rng, int(rng.integers(2, 101)))
             m_pair = pairwise_invariant_mass(ens)
             m_total = invariant_mass(total_four_momentum(ens))
-            assert m_pair == pytest.approx(m_total, rel=1e-12)
+            assert m_pair == pytest.approx(m_total, rel=1e-12, abs=0)
 
 
 class TestVelocity:
     def test_single_photon_moves_at_c(self):
         p = total_four_momentum(
             PhotonEnsemble((PhotonMode(OMEGA, (0.0, 0.0, 1.0)),)))
-        assert ensemble_velocity(p) == pytest.approx(C, rel=1e-15)
+        assert ensemble_velocity(p) == pytest.approx(C, rel=1e-15, abs=0)
 
     def test_symmetric_pair(self):
         theta = 0.7
         v = ensemble_velocity(total_four_momentum(symmetric_pair(theta)))
-        assert v == pytest.approx(C * math.cos(theta), rel=1e-14)
+        assert v == pytest.approx(C * math.cos(theta), rel=1e-14, abs=0)
 
     def test_head_on_pair_is_at_rest(self):
         v = ensemble_velocity(total_four_momentum(symmetric_pair(math.pi / 2)))
@@ -147,8 +156,8 @@ class TestBoost:
     def test_identity_at_zero_beta(self):
         mode = PhotonMode.from_angles(OMEGA, 0.9, 1.1, 2.0)
         out = boost_photon(mode, BoostFrame(0.0))
-        assert out.omega == pytest.approx(mode.omega, rel=1e-15)
-        assert out.direction == pytest.approx(mode.direction, rel=1e-14)
+        assert out.omega == pytest.approx(mode.omega, rel=1e-15, abs=0)
+        assert out.direction == pytest.approx(mode.direction, rel=1e-14, abs=0)
         assert out.weight == mode.weight
 
     def test_forward_photon_never_reversed(self):
@@ -185,21 +194,21 @@ class TestBoost:
             m0 = invariant_mass(total_four_momentum(ens))
             beta = rng.uniform(-0.99, 0.99)
             m1 = invariant_mass(total_four_momentum(boost_ensemble(ens, BoostFrame(beta))))
-            assert m1 == pytest.approx(m0, rel=1e-10)
+            assert m1 == pytest.approx(m0, rel=1e-10, abs=0)
 
 
 class TestRestFrame:
     def test_symmetric_pair_beta(self):
         theta = 0.8
         frame = rest_frame(total_four_momentum(symmetric_pair(theta)))
-        assert frame.beta == pytest.approx(math.cos(theta), rel=1e-14)
+        assert frame.beta == pytest.approx(math.cos(theta), rel=1e-14, abs=0)
 
     def test_head_on_pair(self):
         p = total_four_momentum(symmetric_pair(math.pi / 2))
         frame = rest_frame(p)
         assert frame.beta == pytest.approx(0.0, abs=1e-15)
         m = invariant_mass(p)
-        assert m * C**2 == pytest.approx(2 * HBAR * OMEGA, rel=1e-12)
+        assert m * C**2 == pytest.approx(2 * HBAR * OMEGA, rel=1e-12, abs=0)
 
     def test_single_photon_has_no_rest_frame(self):
         p = total_four_momentum(
@@ -219,7 +228,7 @@ class TestRestFrame:
             m = invariant_mass(p)
             boosted = total_four_momentum(boost_ensemble(ens, rest_frame(p)))
             assert abs(boosted.pz) <= 1e-10 * p.e_over_c
-            assert boosted.e_over_c * C == pytest.approx(m * C**2, rel=1e-10)
+            assert boosted.e_over_c * C == pytest.approx(m * C**2, rel=1e-10, abs=0)
 
     def test_rest_frame_zeroes_pz_random(self):
         rng = np.random.default_rng(23)
@@ -246,15 +255,16 @@ class TestInvariantsAndHelpers:
         ens = symmetric_pair(0.4, weight=2.0)
         p = total_four_momentum(ens)
         assert collinear_energy_deficit(ens) == pytest.approx(
-            (p.e_over_c - p.pz) * C, rel=1e-12)
+            (p.e_over_c - p.pz) * C, rel=1e-12, abs=0)
 
     def test_collinear_deficit_keeps_tiny_angles(self):
-        # theta ~ 1e-5: relative deficit ~ 5e-11, still exact via per-mode sum
+        # theta ~ 1e-5: relative deficit ~ 5e-11, still exact via per-mode sum;
+        # 1 - cos(theta) itself would be off by ~1e-7 here
         theta = 1e-5
         ens = symmetric_pair(theta)
         deficit = collinear_energy_deficit(ens)
-        expected = 2 * HBAR * OMEGA * (1.0 - math.cos(theta))
-        assert deficit == pytest.approx(expected, rel=1e-12)
+        expected = 2 * HBAR * OMEGA * 2 * math.sin(theta / 2) ** 2
+        assert deficit == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_direction_must_be_unit(self):
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ class TestGaussianDensity:
         # tau^2 E0^2 w^4 / (8 pi hbar omega0) times the exact Jacobian
         # factor (c^2 k_z/omega_k)^2 = c^2 at this point
         expected = p.tau**2 * p.e0**2 * p.w**4 * C**2 / (8 * math.pi * HBAR * p.omega0)
-        assert got == pytest.approx(expected, rel=1e-13)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_transverse_gaussian_rolloff(self):
         p = params_for(1e-4, 3e-3)
@@ -64,7 +64,7 @@ class TestGaussianDensity:
         kz = math.sqrt(k0**2 - kp**2)  # same omega_k as the on-axis point
         ratio = float(d.amplitude(np.array(kp), np.array(kz))) / float(
             d.amplitude(np.array(0.0), np.array(k0)))
-        assert ratio == pytest.approx(math.exp(-36.0) * (kz / k0) ** 2, rel=1e-12)
+        assert ratio == pytest.approx(math.exp(-36.0) * (kz / k0) ** 2, rel=1e-12, abs=0)
 
     def test_forward_clip_warning(self):
         # c*tau = lambda/2: a sizable part of the k_z Gaussian sits below zero
@@ -86,19 +86,19 @@ class TestIntegrateObservables:
         # spec operating point: lambda/w = 1e-4, lambda/ctau ~ 3.3e-3
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         obs = integrate_observables(gaussian_spectral_density(p))
-        assert obs.energy == pytest.approx(closed_energy(p), rel=1e-5)
+        assert obs.energy == pytest.approx(closed_energy(p), rel=1e-5, abs=0)
 
     def test_photon_count_against_closed_form(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         obs = integrate_observables(gaussian_spectral_density(p))
         n_closed = closed_energy(p) / (HBAR * p.omega0)
-        assert obs.photon_count == pytest.approx(n_closed, rel=1e-5)
+        assert obs.photon_count == pytest.approx(n_closed, rel=1e-5, abs=0)
 
     def test_energy_exceeds_c_pz_by_paraxial_deficit(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         obs = integrate_observables(gaussian_spectral_density(p))
         rel = (obs.energy - C * obs.pz) / obs.energy
-        assert rel == pytest.approx(LAM**2 / (8 * math.pi**2 * p.w**2), rel=1e-2)
+        assert rel == pytest.approx(LAM**2 / (8 * math.pi**2 * p.w**2), rel=1e-2, abs=0)
 
     def test_zero_amplitude_gives_zeros(self):
         d = SpectralDensity(lambda kp, kz: np.zeros_like(kp), 1.0, 2.0, 1.0)
@@ -118,14 +118,14 @@ class TestIntegrateObservables:
         ref, err = dblquad(integrand, d.kz_min, d.kz_max,
                            0.0, d.kperp_max, epsabs=0.0, epsrel=1e-11)
         obs = integrate_observables(d)
-        assert obs.energy == pytest.approx(ref, rel=1e-8)
+        assert obs.energy == pytest.approx(ref, rel=1e-8, abs=0)
 
 
 class TestDeficit:
     def test_matches_paper_closed_form(self):
         p = params_for(1e-2, 1e-2)
         got = energy_momentum_deficit(gaussian_spectral_density(p))
-        assert got == pytest.approx(closed_deficit(p), rel=1e-3)
+        assert got == pytest.approx(closed_deficit(p), rel=1e-3, abs=0)
 
     def test_deficit_positive(self):
         p = params_for(1e-2, 1e-2)
@@ -139,8 +139,8 @@ class TestDeficit:
             n = closed_energy(p) / (HBAR * p.omega0)
             d = energy_momentum_deficit(gaussian_spectral_density(p))
             deficits.append(d / n)  # per photon, N-independent comparison
-        assert deficits[0] / deficits[1] == pytest.approx(4.0, rel=1e-3)
-        assert deficits[1] / deficits[2] == pytest.approx(4.0, rel=1e-3)
+        assert deficits[0] / deficits[1] == pytest.approx(4.0, rel=1e-3, abs=0)
+        assert deficits[1] / deficits[2] == pytest.approx(4.0, rel=1e-3, abs=0)
 
 
 class TestMassQuadrature:
@@ -156,7 +156,7 @@ class TestMassQuadrature:
         p2 = params_for(1e-2, 1e-2, e0=2.0)
         m1 = pulse_mass_quadrature(gaussian_spectral_density(p1))
         m2 = pulse_mass_quadrature(gaussian_spectral_density(p2))
-        assert m2 / m1 == pytest.approx(4.0, rel=1e-9)
+        assert m2 / m1 == pytest.approx(4.0, rel=1e-9, abs=0)
 
     def test_mass_to_energy_ratio(self):
         p = params_for(1e-2, 1e-2)
@@ -164,7 +164,7 @@ class TestMassQuadrature:
         m = pulse_mass_quadrature(d)
         obs = integrate_observables(d)
         assert m / (obs.energy / C**2) == pytest.approx(
-            LAM / (2 * math.pi * p.w), rel=1e-4)
+            LAM / (2 * math.pi * p.w), rel=1e-4, abs=0)
 
     def test_consistency_with_subtraction_form(self):
         # lambda/w = 1e-2 leaves ~10 digits in the naive subtraction
@@ -173,7 +173,7 @@ class TestMassQuadrature:
         obs = integrate_observables(d)
         m = pulse_mass_quadrature(d)
         sub = obs.energy**2 - (C * obs.pz) ** 2
-        assert sub == pytest.approx((m * C**2) ** 2, rel=1e-9)
+        assert sub == pytest.approx((m * C**2) ** 2, rel=1e-9, abs=0)
 
 
 class TestFieldAt:
@@ -205,7 +205,7 @@ class TestFieldAt:
         vals = field_profile(p, 0.0, z, ts)
         t_peak = ts[int(np.argmax(np.abs(vals)))]
         assert abs(t_peak - t_c) < 0.5 * p.tau
-        assert np.max(np.abs(vals)) == pytest.approx(p.e0, rel=1e-3)
+        assert np.max(np.abs(vals)) == pytest.approx(p.e0, rel=1e-3, abs=0)
 
     def test_negative_z_rejected(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
@@ -261,18 +261,18 @@ class TestParams:
     def test_validity_ratio_paper_example(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         rw, rt = validity_ratio(p)
-        assert rw == pytest.approx(1e-4, rel=1e-12)
-        assert rt == pytest.approx(LAM / (C * 1e-12), rel=1e-12)
-        assert rt == pytest.approx(3.336e-3, rel=1e-3)
+        assert rw == pytest.approx(1e-4, rel=1e-12, abs=0)
+        assert rt == pytest.approx(LAM / (C * 1e-12), rel=1e-12, abs=0)
+        assert rt == pytest.approx(3.336e-3, rel=1e-3, abs=0)
 
     def test_validity_ratio_unity(self):
         p = GaussianPulseParams(1.0, LAM / C, 1.0, 2 * math.pi * C / LAM)
         _, rt = validity_ratio(p)
-        assert rt == pytest.approx(1.0, rel=1e-12)
+        assert rt == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_from_energy_round_trip(self):
         p = GaussianPulseParams.from_energy(1e5, 1e-12, 1.0, 2 * math.pi * C / LAM)
-        assert closed_energy(p) == pytest.approx(1e5, rel=1e-14)
+        assert closed_energy(p) == pytest.approx(1e5, rel=1e-14, abs=0)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
