@@ -23,7 +23,6 @@ from .spectral import (
     QuadratureError,
     SpectralDensity,
     energy_momentum_deficit,
-    field_at,
     field_profile,
     gaussian_spectral_density,
     integrate_observables,
@@ -37,7 +36,6 @@ from .analytic import (
     mass_from_energy,
     mass_from_photon_number,
     pulse_energy,
-    rest_frame_energy,
     summarize,
     w_limit_scaling,
 )
@@ -45,7 +43,6 @@ from .density import (
     FieldSample,
     mass_density,
     mass_density_array,
-    mass_density_grid,
     mass_density_invariant_form,
 )
 from .experiment import (
@@ -54,7 +51,6 @@ from .experiment import (
     GeometryWarning,
     channel_delay,
     focus_kperp,
-    gain_over_intrinsic,
     kperp_ratio_to_mass,
     mass_kperp_correspondence,
     spdc_speed,

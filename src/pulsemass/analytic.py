@@ -115,23 +115,20 @@ def mass_from_photon_number(n: float, omega0: float, w: float) -> float:
 
 
 def w_limit_scaling(params: GaussianPulseParams, mode: str,
-                    w_factors: list[float]) -> list[tuple[float, float]]:
-    """Mass vs waist under the two wide-beam limits.
+                    waists: list[float]) -> list[tuple[float, float, float]]:
+    """(w, mass, c - v) at each waist under the two wide-beam limits.
 
     mode "fixed_E0": amplitude held constant, m grows linearly in w.
     mode "fixed_N": photon number held constant, m falls as 1/w.
     """
-    if not all(0.0 < f < math.inf for f in w_factors):
-        raise ValueError("w factors must be finite and strictly positive")
-    ws = [params.w * f for f in w_factors]
+    if not all(0.0 < w < math.inf for w in waists):
+        raise ValueError("waists must be finite and strictly positive")
     if mode == "fixed_E0":
-        return [(w, _closed_forms(replace(params, w=w)).mass) for w in ws]
+        summaries = [_closed_forms(replace(params, w=w)) for w in waists]
+        return [(w, s.mass, s.speed_deficit) for w, s in zip(waists, summaries)]
     if mode == "fixed_N":
-        n = pulse_energy(params) / (HBAR * params.omega0)
-        return [(w, mass_from_photon_number(n, params.omega0, w)) for w in ws]
+        energy = pulse_energy(params)
+        n = energy / (HBAR * params.omega0)
+        masses = [mass_from_photon_number(n, params.omega0, w) for w in waists]
+        return [(w, m, speed_deficit(m, energy)) for w, m in zip(waists, masses)]
     raise ValueError(f"unknown scaling mode {mode!r}")
-
-
-def rest_frame_energy(energy_lab: float, lam: float, w: float) -> float:
-    """Rest-frame pulse energy (lambda/(2 pi w)) * energy_lab, in erg."""
-    return mass_from_energy(energy_lab, lam, w) * C * C

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -89,6 +88,8 @@ def _num(cfg: dict, key: str, kind: str | None, units: str, *,
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
+        if isinstance(cfg[key], bool):  # JSON true/false, an int to Python
+            raise TypeError
         value = float(cfg[key])
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} must be a number") from None
@@ -229,7 +230,6 @@ def _experiment_config(cfg: dict, units: str, **cgs: float) -> experiment.Experi
 def cmd_delay(cfg: dict, args) -> None:
     config = _experiment_config(cfg, args.units)
     report = experiment.channel_delay(config)
-    gain = experiment.gain_over_intrinsic(config)
     _emit_json("delay", {
         "v_channel_cm_s": report.v_channel,
         "v_over_c": report.v_channel / C,
@@ -238,7 +238,7 @@ def cmd_delay(cfg: dict, args) -> None:
         "separated": report.separated,
         "m_fdr_g": report.m_fdr,
         "f_over_ld": report.f_over_ld,
-        "gain_over_intrinsic": gain,
+        "gain_over_intrinsic": report.gain_over_intrinsic,
     }, args.out)
 
 
@@ -288,13 +288,9 @@ def cmd_sweep(cfg: dict, args) -> None:
         if not isinstance(pulse_cfg, dict):
             raise ConfigError("'pulse' must be an object with the pulse parameters")
         base = _pulse_params(pulse_cfg, args.units)
-        mode = cfg.get("mode", "fixed_E0")
-        pairs = analytic.w_limit_scaling(base, mode, [v / base.w for v in values])
-        rows = []
-        for w, mass in pairs:
-            energy = analytic.pulse_energy(replace(base, w=w) if mode == "fixed_E0" else base)
-            rows.append([_fmt(w), _fmt(mass), _fmt(analytic.speed_deficit(mass, energy))])
-        _emit_csv(["w_cm", "mass_g", "c_minus_v_cm_s"], rows, args.out)
+        rows = analytic.w_limit_scaling(base, cfg.get("mode", "fixed_E0"), values)
+        _emit_csv(["w_cm", "mass_g", "c_minus_v_cm_s"],
+                  [list(map(_fmt, row)) for row in rows], args.out)
     elif param in ("w_half", "f"):
         delay_cfg = cfg.get("delay")
         if not (isinstance(delay_cfg, dict) and delay_cfg):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -108,10 +107,3 @@ def mass_density_invariant_form(sample: FieldSample) -> float:
     eh = ex * hx + ey * hy + ez * hz
     return math.sqrt((e2 - h2) ** 2 + 4.0 * eh * eh) / _MU_UNIT
 
-
-def mass_density_grid(samples: Iterable[FieldSample]) -> list[float]:
-    """Element-wise mass_density in input order."""
-    samples = list(samples)
-    if not samples:
-        return []
-    return mass_density_array([s.e for s in samples], [s.h for s in samples]).tolist()

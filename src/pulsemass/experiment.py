@@ -45,6 +45,9 @@ class DelayReport:
     """Per-channel speed, accumulated spatial delay, and the in-region mass.
 
     delta_l = 2f(1 - v/c) holds exactly; separated flags delta_l > c*tau.
+    gain_over_intrinsic = L_D/f = 2 pi w_half^2/(f lambda); above 1 the
+    lenses, not intrinsic divergence, dominate the slow-down.  It is computed
+    as written, not as 1/f_over_ld, which rounds differently.
     """
 
     v_channel: float   # cm/s
@@ -52,6 +55,7 @@ class DelayReport:
     separated: bool
     m_fdr: float       # g
     f_over_ld: float
+    gain_over_intrinsic: float
 
 
 def spdc_speed(k_perp_sq_mean: float, k_abs: float) -> float:
@@ -112,11 +116,6 @@ def channel_delay(config: ExperimentConfig) -> DelayReport:
         separated=delta_l > C * config.source.tau,
         m_fdr=energy / (C * C) * r,
         f_over_ld=f_over_ld,
+        gain_over_intrinsic=2.0 * math.pi * config.w_half**2 / (config.f * lam),
     )
 
-
-def gain_over_intrinsic(config: ExperimentConfig) -> float:
-    """L_D/f = (w_half/f)/(lambda/(2 pi w_half)); > 1 means the lenses, not
-    intrinsic divergence, dominate the slow-down."""
-    lam = config.source.wavelength
-    return 2.0 * math.pi * config.w_half**2 / (config.f * lam)

@@ -47,6 +47,12 @@ _FIELD_ABS_TOL = 1e-9
 _FIELD_CHUNK = 1 << 18
 
 
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and strictly positive")
+
+
 @dataclass(frozen=True)
 class GaussianPulseParams:
     """Classical description of a Gaussian pulse at the z = 0 boundary.
@@ -61,9 +67,7 @@ class GaussianPulseParams:
     omega0: float
 
     def __post_init__(self):
-        for name in ("e0", "tau", "w", "omega0"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive")
+        _require_positive(e0=self.e0, tau=self.tau, w=self.w, omega0=self.omega0)
 
     @property
     def wavelength(self) -> float:
@@ -74,10 +78,16 @@ class GaussianPulseParams:
     def from_energy(cls, energy: float, tau: float, w: float,
                     omega0: float) -> "GaussianPulseParams":
         """Pick e0 so the paraxial pulse energy sqrt(pi)*c*tau*w^2*e0^2/8
-        equals the given value in erg."""
-        if not 0.0 < energy < math.inf:
-            raise ValueError("energy must be finite and strictly positive")
-        e0 = math.sqrt(8.0 * energy / (math.sqrt(math.pi) * C * tau * w * w))
+        equals the given value in erg; OverflowError where that e0 is out of
+        floating-point range."""
+        _require_positive(energy=energy, tau=tau, w=w)
+        area = math.sqrt(math.pi) * C * tau * w * w
+        e0 = math.sqrt(8.0 * energy / area) if 0.0 < area < math.inf else 0.0
+        if not 0.0 < e0 < math.inf:
+            raise OverflowError(
+                f"w = {w:.6g} cm, tau = {tau:.6g} s, energy = {energy:.6g} erg: "
+                "e0 = sqrt(8 energy/(sqrt(pi) c tau w^2)) is out of "
+                "floating-point range")
         return cls(e0, tau, w, omega0)
 
 
@@ -135,20 +145,31 @@ def _window(params: GaussianPulseParams) -> tuple[float, float, float]:
     return kz_lo, k0 + dk, _WINDOW_SIGMAS / params.w
 
 
-def gaussian_spectral_density(params: GaussianPulseParams) -> SpectralDensity:
-    """Photon density of the Gaussian boundary pulse.
+def _amplitude(params: GaussianPulseParams, kperp, kz):
+    """Spectral field amplitude of the Gaussian boundary pulse,
 
-    rho(k) = tau^2/(8 pi hbar omega_k) * |E0 w^2 exp(-k_perp^2 w^2/2)|^2
-             * (c^2 k_z/omega_k)^2 * exp(-(omega_k - omega0)^2 tau^2).
+    a(k) = E0 w^2 exp(-k_perp^2 w^2/2) * (c^2 k_z/omega_k)
+           * exp(-(omega_k - omega0)^2 tau^2/2),
+
+    shared by the photon density and the boundary-field reconstruction.
     """
     e0, tau, w, omega0 = params.e0, params.tau, params.w, params.omega0
+    omega = C * np.hypot(kz, kperp)
+    return (e0 * w * w * np.exp(-kperp * kperp * w * w / 2.0)
+            * (C * C * kz / omega)
+            * np.exp(-((omega - omega0) * tau) ** 2 / 2.0))
+
+
+def gaussian_spectral_density(params: GaussianPulseParams) -> SpectralDensity:
+    """Photon density of the Gaussian boundary pulse,
+    rho(k) = tau^2 a(k)^2/(8 pi hbar omega_k) with a(k) from _amplitude."""
+    scale = params.tau * params.tau / (8.0 * math.pi * HBAR * C)
 
     def rho(kperp, kz):
-        omega = C * np.hypot(kz, kperp)
-        amp2 = (e0 * w * w) ** 2 * np.exp(-kperp * kperp * w * w)
-        return (tau * tau / (8.0 * math.pi * HBAR)
-                * amp2 * (C * C * kz) ** 2 / omega**3
-                * np.exp(-((omega - omega0) * tau) ** 2))
+        # a^2 out of range fails at once rather than refine on infinities
+        with np.errstate(over="raise"):
+            a = _amplitude(params, kperp, kz)
+            return scale * a * a / np.hypot(kz, kperp)
 
     return SpectralDensity(rho, *_window(params))
 
@@ -241,14 +262,10 @@ def _field_static(params: GaussianPulseParams, r_perp: float, window, n: int):
     # imported here so that only field reconstruction pays for scipy
     from scipy.special import j0
 
-    e0, tau, w, omega0 = params.e0, params.tau, params.w, params.omega0
     KP, KZ, wp, wz = _nodes(*window, n)
     k = np.hypot(KZ, KP)
-    omega = C * k
-    static = (KP * j0(KP * r_perp) * e0 * w * w * np.exp(-KP * KP * w * w / 2.0)
-              * (C * C * KZ / omega)
-              * np.exp(-((omega - omega0) * tau) ** 2 / 2.0))
-    static *= np.outer(wp, wz) * (tau / math.sqrt(2.0 * math.pi))
+    static = KP * j0(KP * r_perp) * _amplitude(params, KP, KZ)
+    static *= np.outer(wp, wz) * (params.tau / math.sqrt(2.0 * math.pi))
     return static.ravel(), KZ.ravel(), (C * KP * KP / (k + KZ)).ravel()
 
 
@@ -269,19 +286,11 @@ def _field_sum(level, z: float, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def field_at(params: GaussianPulseParams, r_perp: float, z: float,
-             t: float) -> float:
-    """Scalar field strength (statvolt/cm) at (r_perp, z, t), z >= 0.
-
-    Gauss-Legendre evaluation of the forward-propagating k-integral, refined
-    until converged; raises QuadratureError where it cannot be resolved.
-    """
-    return float(field_profile(params, r_perp, z, np.asarray([t]))[0])
-
-
 def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
                   times: np.ndarray) -> np.ndarray:
-    """field_at over an array of times, on one node count for all of them.
+    """Scalar field strength (statvolt/cm) at (r_perp, z) and each of the
+    times, z >= 0: the forward-propagating k-integral on Gauss-Legendre
+    nodes, one node count for all times.
 
     Starting from _FIELD_BASE_N nodes per axis, the count doubles until two
     successive levels agree to _FIELD_ABS_TOL * e0 at every time, up to

@@ -13,7 +13,7 @@ from pulsemass.analytic import (
     mass_from_energy,
     mass_from_photon_number,
     pulse_energy,
-    rest_frame_energy,
+    speed_deficit,
     summarize,
     w_limit_scaling,
 )
@@ -114,40 +114,44 @@ class TestMassForms:
 
 class TestScalingAndRestFrame:
     def test_fixed_e0_scaling(self):
-        pairs = w_limit_scaling(PAPER_PULSE, "fixed_E0", [1.0, 2.0, 4.0])
-        masses = [m for _, m in pairs]
+        rows = w_limit_scaling(PAPER_PULSE, "fixed_E0", [1.0, 2.0, 4.0])
+        masses = [m for _, m, _ in rows]
         assert masses[1] / masses[0] == pytest.approx(2.0, rel=1e-14, abs=0)
         assert masses[2] / masses[0] == pytest.approx(4.0, rel=1e-14, abs=0)
 
     def test_fixed_n_scaling(self):
-        pairs = w_limit_scaling(PAPER_PULSE, "fixed_N", [1.0, 2.0, 4.0])
-        masses = [m for _, m in pairs]
+        rows = w_limit_scaling(PAPER_PULSE, "fixed_N", [1.0, 2.0, 4.0])
+        masses = [m for _, m, _ in rows]
         assert masses[0] / masses[1] == pytest.approx(2.0, rel=1e-14, abs=0)
         assert masses[0] / masses[2] == pytest.approx(4.0, rel=1e-14, abs=0)
 
     def test_single_factor_is_baseline(self):
-        pairs = w_limit_scaling(PAPER_PULSE, "fixed_E0", [1.0])
-        assert pairs[0][1] == pytest.approx(summarize(PAPER_PULSE).mass, rel=1e-14, abs=0)
+        rows = w_limit_scaling(PAPER_PULSE, "fixed_E0", [PAPER_PULSE.w])
+        assert rows[0][1] == pytest.approx(summarize(PAPER_PULSE).mass, rel=1e-14, abs=0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             w_limit_scaling(PAPER_PULSE, "fixed_tau", [1.0])
 
     def test_rest_frame_energy_plug_in(self):
-        assert rest_frame_energy(1e5, 1e-4, 1.0) == pytest.approx(
+        assert mass_from_energy(1e5, 1e-4, 1.0) * C**2 == pytest.approx(
             1e5 * 1e-4 / (2 * math.pi), rel=1e-14, abs=0)
-        assert rest_frame_energy(1e5, 1e-4, 1.0) == pytest.approx(1.59, rel=1e-2, abs=0)
+        assert mass_from_energy(1e5, 1e-4, 1.0) * C**2 == pytest.approx(
+            1.59, rel=1e-2, abs=0)
 
     def test_rest_frame_energy_formula_boundary(self):
         # lambda/(2 pi w) = 1: rest energy equals lab energy (outside paraxial
         # validity but the formula itself is exact algebra)
         lam = 1.0
         w = 1.0 / (2 * math.pi)
-        assert rest_frame_energy(1e5, lam, w) == pytest.approx(1e5, rel=1e-14, abs=0)
+        assert mass_from_energy(1e5, lam, w) * C**2 == pytest.approx(
+            1e5, rel=1e-14, abs=0)
 
     def test_rest_energy_equals_mass_c_squared(self):
-        assert rest_frame_energy(1e5, 1e-4, 1.0) == mass_from_energy(
-            1e5, 1e-4, 1.0) * C * C
+        s = summarize(PAPER_PULSE)
+        assert s.rest_energy == s.mass * C * C
+        assert s.rest_energy == pytest.approx(
+            mass_from_energy(s.energy, LAM, PAPER_PULSE.w) * C**2, rel=1e-14, abs=0)
 
 
 class TestOneMassFormula:
@@ -157,22 +161,34 @@ class TestOneMassFormula:
             n * HBAR * OMEGA0, 2 * math.pi * C / OMEGA0, 2.0)
 
     def test_fixed_e0_matches_summarize_at_each_waist(self):
-        for (w, m), f in zip(w_limit_scaling(PAPER_PULSE, "fixed_E0", [0.5, 3.0]),
-                             [0.5, 3.0]):
-            assert w == PAPER_PULSE.w * f
-            assert m == summarize(dataclasses.replace(PAPER_PULSE, w=w)).mass
+        for (w, m, dv), waist in zip(w_limit_scaling(PAPER_PULSE, "fixed_E0", [0.5, 3.0]),
+                                     [0.5, 3.0]):
+            s = summarize(dataclasses.replace(PAPER_PULSE, w=waist))
+            assert (w, m, dv) == (waist, s.mass, s.speed_deficit)
 
     def test_fixed_e0_sweep_past_paraxial_limit_is_silent(self):
         # lambda/w = 1: summarize would raise ParaxialError here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [(w, m)] = w_limit_scaling(PAPER_PULSE, "fixed_E0", [LAM])
+            [(w, m, _)] = w_limit_scaling(PAPER_PULSE, "fixed_E0", [LAM])
         assert m == pytest.approx(summarize(PAPER_PULSE).mass * LAM, rel=1e-14, abs=0)
 
     def test_fixed_e0_rejects_a_waist_that_overflows(self):
-        wide = dataclasses.replace(PAPER_PULSE, w=1e10)
-        with pytest.raises(ValueError, match="w must be finite"):
-            w_limit_scaling(wide, "fixed_E0", [1e300])
+        with pytest.raises(OverflowError, match=r"w = 1e\+200 cm: w\^2 overflows"):
+            w_limit_scaling(PAPER_PULSE, "fixed_E0", [1e200])
+
+    @pytest.mark.parametrize("mode", ["fixed_E0", "fixed_N"])
+    def test_rows_carry_the_speed_deficit(self, mode):
+        waists = [0.3, 0.7, 1.0, 2.5]
+        for w, m, dv in w_limit_scaling(PAPER_PULSE, mode, waists):
+            at = dataclasses.replace(PAPER_PULSE, w=w) if mode == "fixed_E0" else PAPER_PULSE
+            assert dv == speed_deficit(m, pulse_energy(at))
+
+    def test_waists_are_returned_as_given(self):
+        # a waist is not rebuilt from a factor of the base waist
+        base = dataclasses.replace(PAPER_PULSE, w=0.3)
+        for mode in ("fixed_E0", "fixed_N"):
+            assert [w for w, _, _ in w_limit_scaling(base, mode, [0.7])] == [0.7]
 
 
 class TestNonFiniteArguments:
@@ -192,7 +208,7 @@ class TestNonFiniteArguments:
             mass_from_photon_number(*args)
 
     @pytest.mark.parametrize("mode", ["fixed_E0", "fixed_N"])
-    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
-    def test_w_limit_scaling_factors(self, mode, factor):
-        with pytest.raises(ValueError, match="finite"):
-            w_limit_scaling(PAPER_PULSE, mode, [1.0, factor])
+    @pytest.mark.parametrize("waist", [math.nan, math.inf, 0.0, -1.0])
+    def test_w_limit_scaling_factors(self, mode, waist):
+        with pytest.raises(ValueError, match="waists must be finite"):
+            w_limit_scaling(PAPER_PULSE, mode, [1.0, waist])

@@ -277,6 +277,23 @@ class TestSweep:
         assert out == ""
         assert err == "config error: config key 'values[1]' must be a number\n"
 
+    def test_waist_is_printed_as_given(self, tmp_path, capsys):
+        # the row is at the double 0.7, not at 0.3 * (0.7 / 0.3)
+        cfg = write_config(tmp_path, "c.json", {
+            "parameter": "w", "values": [0.7], "pulse": {**PULSE_CGS, "w": 0.3}})
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[0] == "6.9999999999999996e-01"
+
+    @pytest.mark.parametrize("mode", ["fixed_E0", "fixed_N"])
+    def test_boolean_value_is_not_a_number(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, "c.json", {
+            "parameter": "w", "values": [True], "mode": mode, "pulse": PULSE_CGS})
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: config key 'values[0]' must be a number\n"
+
     def test_delay_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
                            {"parameter": "f", "values": [5.0], "delay": 5})
@@ -320,6 +337,24 @@ class TestNonFinite:
         code, out, _ = run_cli(capsys, "mass-discrete", "--config", str(path))
         assert code == 2
         assert out == ""
+
+    def test_boolean_photon_angle_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"photons": [
+            {"lambda": 1e-4, "theta_deg": True}]})
+        code, out, err = run_cli(capsys, "mass-discrete", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: config key 'theta_deg' must be a number\n"
+
+    @pytest.mark.parametrize("w", ["1e200", "1e-200"])
+    def test_energy_pulse_with_extreme_waist_names_w(self, tmp_path, capsys, w):
+        # e0 = sqrt(8 E/(sqrt(pi) c tau w^2)) is out of range, not a bad e0
+        cfg = write_config(tmp_path, "c.json", PULSE_CGS)
+        code, out, err = run_cli(capsys, "mass-pulse", "--config", cfg, "--set", f"w={w}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            f"numerical error: OverflowError: w = {float(w):g} cm, tau = 1e-12 s")
 
     def test_nan_field_position_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", FIELD_CGS)
@@ -524,6 +559,74 @@ class TestGoldenStdout:
         code, out, err = run_cli(capsys, command, "--config", cfg, "--units", units)
         assert code == 0, err
         assert out == GOLDEN_STDOUT[f"{case}/{units}"]
+
+
+# The stdout of density, mass-pulse --oracle and field-profile, captured once
+# in both unit systems.  density is compared byte for byte; the quadrature
+# values (mass_quadrature_g, oracle_rel_deviation, the field column) to
+# 1e-12, with keys, headers and row counts exact.
+GOLDEN_DENSITY_CSV = (
+    "x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n"
+    "0,0,0,0,1.0,0,0,0,1.0,0\n"
+    "0,0,1,0,2.0,0,0,0,1.0,0\n"
+    "1,2,3,4e-12,1.0,0,0,0,1.000000001,0\n"
+    "0.5,0,0,0,3e4,-1.2e4,7e3,2.5e-5,1e-4,-3e-5\n"
+    "0,0,0,0,1e150,0,0,0,2e150,0\n"
+    "0,0,0,0,1e-200,2e-200,0,0,0,3e-200\n"
+    "0,0,0,0, 0.3 ,0.4,0,0.1,-0.2,0.5\n"
+    "0,0,0,0,-1.5,2.5,3.5,1.5,-2.5,3.4999\n")
+GOLDEN_VALUE_CONFIGS = {
+    "density": {"input": "fields.csv"},
+    "oracle-paper": PULSE_CGS,
+    "oracle-wide": {"e0": 1.0, "tau": 1e-12, "w": 5e-3, "lambda": 1e-4},
+    "oracle-past-limit": {"e0": 1.0, "tau": 1e-12, "w": 1.6e-4, "lambda": 1e-4},
+    "field-axis": FIELD_CGS,
+    "field-off-axis": {**FIELD_CGS, "r_perp": 0.75, "z": 3e-3, "t_min": -1.9e-12,
+                       "t_max": 2.1e-12, "n_t": 7},
+}
+GOLDEN_VALUES_PATH = pathlib.Path(__file__).parent / "data" / "cli_golden_values.json"
+
+
+def golden_value_stdout(tmp_path, capsys, case, units):
+    """(exit code, stdout) of a GOLDEN_VALUE_CONFIGS case."""
+    cfg = dict(GOLDEN_VALUE_CONFIGS[case])
+    argv = {"density": ["density"], "oracle": ["mass-pulse", "--oracle"],
+            "field": ["field-profile"]}[case.split("-")[0]]
+    if case == "density":
+        (tmp_path / "fields.csv").write_text(GOLDEN_DENSITY_CSV)
+        cfg["input"] = str(tmp_path / "fields.csv")
+    code, out, _ = run_cli(capsys, *argv, "--config",
+                           write_config(tmp_path, "c.json", cfg), "--units", units)
+    return code, out
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("units", ["cgs", "si"])
+    @pytest.mark.parametrize("case", list(GOLDEN_VALUE_CONFIGS))
+    def test_stdout_values(self, tmp_path, capsys, case, units):
+        expected = json.loads(GOLDEN_VALUES_PATH.read_text())[f"{case}/{units}"]
+        code, out = golden_value_stdout(tmp_path, capsys, case, units)
+        assert code == 0
+        if case == "density":
+            assert out == expected
+        elif case.startswith("oracle"):
+            got, want = json.loads(out), json.loads(expected)
+            assert list(got) == list(want)
+            for key, value in want.items():
+                if key == "mass_quadrature_g":
+                    assert float(got[key]) == pytest.approx(float(value), rel=1e-12, abs=0)
+                elif key == "oracle_rel_deviation":
+                    assert float(got[key]) == pytest.approx(float(value), rel=0, abs=1e-12)
+                else:
+                    assert got[key] == value
+        else:
+            e0 = convert_units(1.0, "field", "V/m", "statvolt/cm") if units == "si" else 1.0
+            got, want = out.splitlines(), expected.splitlines()
+            assert got[0] == want[0] and len(got) == len(want)
+            for row, ref in zip(got[1:], want[1:]):
+                (t, e), (t_ref, e_ref) = row.split(","), ref.split(",")
+                assert t == t_ref
+                assert float(e) == pytest.approx(float(e_ref), rel=0, abs=1e-12 * e0)
 
 
 class TestPlumbing:

@@ -11,7 +11,6 @@ from pulsemass.density import (
     FieldSample,
     mass_density,
     mass_density_array,
-    mass_density_grid,
     mass_density_invariant_form,
 )
 
@@ -72,8 +71,8 @@ class TestMassDensity:
 class TestGrid:
     def test_plane_wave_grid_all_zero(self):
         s = FieldSample((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        out = mass_density_grid([s] * 10)
-        assert out == [0.0] * 10
+        out = mass_density_array([s.e] * 10, [s.h] * 10)
+        assert out.tolist() == [0.0] * 10
 
     def test_standing_wave_at_t0(self):
         # E = E0 cos(kz) x_hat, H = 0 at t = 0: mu(z) = E0^2 cos^2(kz)/(8 pi c^2)
@@ -82,18 +81,19 @@ class TestGrid:
         zs = np.linspace(0.0, 1.0, 21)
         samples = [FieldSample((e0 * math.cos(k * z), 0.0, 0.0), (0.0, 0.0, 0.0))
                    for z in zs]
-        out = mass_density_grid(samples)
+        out = mass_density_array([s.e for s in samples], [s.h for s in samples]).tolist()
         for z, mu in zip(zs, out):
             assert mu == pytest.approx(
                 e0**2 * math.cos(k * z) ** 2 / (8 * math.pi * C * C), abs=1e-35)
 
     def test_empty_grid(self):
-        assert mass_density_grid([]) == []
+        out = mass_density_array(np.empty((0, 3)), np.empty((0, 3)))
+        assert out.shape == (0,)
 
     def test_order_preserved(self):
         samples = [FieldSample((float(i), 0.0, 0.0), (0.0, 0.0, 0.0))
                    for i in range(1, 5)]
-        out = mass_density_grid(samples)
+        out = mass_density_array([s.e for s in samples], [s.h for s in samples]).tolist()
         assert out == sorted(out)
 
 

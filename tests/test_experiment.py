@@ -1,6 +1,8 @@
 """Tests for the slow-light experiment design calculations."""
 
 import math
+import random
+import warnings
 
 import pytest
 
@@ -11,7 +13,6 @@ from pulsemass.experiment import (
     GeometryWarning,
     channel_delay,
     focus_kperp,
-    gain_over_intrinsic,
     kperp_ratio_to_mass,
     mass_kperp_correspondence,
     spdc_speed,
@@ -114,8 +115,8 @@ class TestChannelDelay:
 
     def test_fdr_mass_exceeds_intrinsic_when_gain_large(self):
         cfg = config()
-        assert gain_over_intrinsic(cfg) > 1.0
         report = channel_delay(cfg)
+        assert report.gain_over_intrinsic > 1.0
         assert report.m_fdr >= summarize(SOURCE).mass
 
     def test_geometry_validation(self):
@@ -133,7 +134,7 @@ class TestChannelDelay:
 
 class TestGain:
     def test_plug_in(self):
-        got = gain_over_intrinsic(config())
+        got = channel_delay(config()).gain_over_intrinsic
         assert got == pytest.approx(2 * math.pi * 0.25 / (1e-4 * 5.0), rel=1e-12, abs=0)
         assert got == pytest.approx(3.14e3, rel=1e-2, abs=0)
 
@@ -146,7 +147,22 @@ class TestGain:
         src = GaussianPulseParams.from_energy(1e5, 1e-9, 50.0, 2 * math.pi * C / lam)
         ld = 2 * math.pi * w_half**2 / lam
         cfg = ExperimentConfig(w_half=w_half, f=ld, source=src)
-        assert gain_over_intrinsic(cfg) == pytest.approx(1.0, rel=1e-12, abs=0)
+        with pytest.warns(GeometryWarning, match="f/L_D = 1"):
+            report = channel_delay(cfg)
+        assert report.gain_over_intrinsic == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    def test_gain_is_written_out_not_a_reciprocal(self):
+        # 2 pi w_half^2/(f lambda) and 1/f_over_ld differ in the last digit
+        # for a share of geometries; the report keeps the former
+        rng = random.Random(7)
+        for _ in range(200):
+            w_half = rng.uniform(0.05, 1.0)
+            f = w_half * rng.uniform(10.0, 100.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GeometryWarning)
+                report = channel_delay(config(w_half=w_half, f=f))
+            lam = SOURCE.wavelength
+            assert report.gain_over_intrinsic == 2.0 * math.pi * w_half**2 / (f * lam)
 
 
 class TestNonFiniteArguments:

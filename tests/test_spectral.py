@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from pulsemass.spectral import (
     QuadratureError,
     SpectralDensity,
     energy_momentum_deficit,
-    field_at,
     field_profile,
     gaussian_spectral_density,
     integrate_observables,
@@ -179,13 +179,13 @@ class TestMassQuadrature:
 class TestFieldAt:
     def test_zero_at_time_zero(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
-        assert abs(field_at(p, 0.0, 0.0, 0.0)) < 1e-6 * p.e0
+        assert abs(field_profile(p, 0.0, 0.0, [0.0])[0]) < 1e-6 * p.e0
 
     def test_quarter_period_peak(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         t = math.pi / (2 * p.omega0)
         expected = p.e0 * math.exp(-t * t / (2 * p.tau**2))
-        assert field_at(p, 0.0, 0.0, t) == pytest.approx(expected, abs=1e-4 * p.e0)
+        assert field_profile(p, 0.0, 0.0, [t])[0] == pytest.approx(expected, abs=1e-4 * p.e0)
 
     def test_boundary_reproduction_grid(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
@@ -210,13 +210,13 @@ class TestFieldAt:
     def test_negative_z_rejected(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         with pytest.raises(ValueError):
-            field_at(p, 0.0, -1.0, 0.0)
+            field_profile(p, 0.0, -1.0, [0.0])[0]
 
     def test_unresolved_field_raises(self):
         # c t = 1e6 c tau: the phase across the spectral window is ~1e7 rad
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         with pytest.raises(QuadratureError, match="unresolved"):
-            field_at(p, 0.0, 0.0, 1e-6)
+            field_profile(p, 0.0, 0.0, [1e-6])[0]
 
     def test_far_propagation_resolved(self):
         # z = 1e4 c tau: the phase is taken relative to t - z/c, so the pulse
@@ -291,6 +291,56 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             GaussianPulseParams.from_energy(bad, 1e-12, 1.0, 1e15)
 
+    @pytest.mark.parametrize("w", [1e200, 1e-200])
+    def test_from_energy_out_of_range_names_w_and_tau(self, w):
+        # sqrt(pi) c tau w^2 overflows to inf or underflows to 0
+        with pytest.raises(OverflowError, match="^" + re.escape(f"w = {w:g} cm, tau = 1e-12 s")):
+            GaussianPulseParams.from_energy(1e5, 1e-12, w, 1e15)
+
+    @pytest.mark.parametrize("slot", range(2))
+    def test_from_energy_rejects_a_non_positive_shape(self, slot):
+        args = [1e-12, 1.0]
+        args[slot] = 0.0
+        with pytest.raises(ValueError, match="must be finite and strictly positive"):
+            GaussianPulseParams.from_energy(1e5, *args, 1e15)
+
+
+class TestOneAmplitude:
+    def test_density_is_the_squared_amplitude(self):
+        # rho = tau^2 |E0 w^2 exp(-k_perp^2 w^2/2) (c^2 k_z/omega)
+        #       exp(-(omega - omega0)^2 tau^2/2)|^2/(8 pi hbar omega), written out
+        p = params_for(0.05, 0.05, e0=3.0)
+        d = gaussian_spectral_density(p)
+        rng = np.random.default_rng(3)
+        kp = rng.uniform(0.0, d.kperp_max, 200)
+        kz = rng.uniform(d.kz_min, d.kz_max, 200)
+        omega = C * np.hypot(kz, kp)
+        expected = (p.tau**2 / (8 * math.pi * HBAR * omega)
+                    * (p.e0 * p.w**2) ** 2 * np.exp(-kp**2 * p.w**2)
+                    * (C**2 * kz / omega) ** 2 * np.exp(-((omega - p.omega0) * p.tau) ** 2))
+        np.testing.assert_allclose(d.amplitude(kp, kz), expected, rtol=1e-14, atol=0)
+
+    def test_density_and_field_share_the_amplitude(self, monkeypatch):
+        calls = []
+        amplitude = spectral._amplitude
+
+        def counting(params, kperp, kz):
+            calls.append(kperp.shape)
+            return amplitude(params, kperp, kz)
+
+        monkeypatch.setattr(spectral, "_amplitude", counting)
+        p = params_for(1e-3, 1e-2)
+        gaussian_spectral_density(p).amplitude(np.ones(3), np.ones(3))
+        assert calls == [(3,)]
+        field_profile(p, 0.0, 0.0, [0.0])
+        assert calls[1:3] == [(32, 32), (64, 64)]
+
+    def test_amplitude_overflow_is_an_arithmetic_error(self):
+        # (e0 w^2)^2 overflows: the oracle fails at once, not on infinities
+        p = GaussianPulseParams(1e150, 1e-12, 1e5, 2 * math.pi * C / LAM)
+        with pytest.raises(FloatingPointError):
+            pulse_mass_quadrature(gaussian_spectral_density(p))
+
 
 class TestQuadratureEngine:
     def test_oracle_evaluates_amplitude_once_per_level(self):
@@ -324,6 +374,6 @@ class TestQuadratureEngine:
         with pytest.warns(ForwardClipWarning):
             d = gaussian_spectral_density(p)
         with pytest.warns(ForwardClipWarning):
-            field_at(p, 0.0, 0.0, 0.0)
+            field_profile(p, 0.0, 0.0, [0.0])[0]
         with pytest.warns(ForwardClipWarning):
             assert spectral._window(p) == (d.kz_min, d.kz_max, d.kperp_max)
