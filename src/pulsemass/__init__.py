@@ -8,7 +8,6 @@ from .kinematics import (
     PhotonEnsemble,
     PhotonMode,
     boost_ensemble,
-    boost_photon,
     collinear_energy_deficit,
     ensemble_velocity,
     invariant_mass,

@@ -67,20 +67,30 @@ def _squared(name: str, value: float, unit: str) -> float:
 
 def pulse_energy(params: GaussianPulseParams) -> float:
     """Paraxial pulse energy sqrt(pi)*c*tau*w^2*E0^2/8 in erg."""
-    return (math.sqrt(math.pi) * C * params.tau * _squared("w", params.w, "cm")
-            * _squared("e0", params.e0, "statvolt/cm") / 8.0)
+    energy = (math.sqrt(math.pi) * C * params.tau * _squared("w", params.w, "cm")
+              * _squared("e0", params.e0, "statvolt/cm") / 8.0)
+    if not math.isfinite(energy):
+        raise OverflowError(f"e0 = {params.e0:.6g} statvolt/cm, w = {params.w:.6g} cm, tau = "
+                            f"{params.tau:.6g} s: the pulse energy is out of floating-point range")
+    return energy
 
 
 def speed_deficit(mass: float, energy: float) -> float:
     """c - v = c (m c^2)^2/(2 energy^2) in cm/s."""
-    return C * (mass * C * C) ** 2 / (2.0 * energy * energy)
+    try:
+        dv = C * (mass * C * C) ** 2 / (2.0 * energy * energy)
+    except OverflowError:
+        dv = math.inf
+    if not (dv < math.inf and energy * energy < math.inf):
+        raise OverflowError(f"mass = {mass:.6g} g, energy = {energy:.6g} erg: "
+                            "c - v = c (m c^2)^2/(2 energy^2) overflows")
+    return dv
 
 
 def _closed_forms(params: GaussianPulseParams) -> PulseSummary:
-    """summarize without the paraxial check."""
+    """summarize without the paraxial check; pulse_energy names any overflow of e0^2."""
     energy = pulse_energy(params)
-    mass = (math.sqrt(math.pi) * params.tau * params.w
-            * _squared("e0", params.e0, "statvolt/cm") / (8.0 * params.omega0))
+    mass = math.sqrt(math.pi) * params.tau * params.w * params.e0**2 / (8.0 * params.omega0)
     return PulseSummary(
         energy=energy,
         photon_count=energy / (HBAR * params.omega0),

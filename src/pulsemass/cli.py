@@ -161,7 +161,7 @@ def _photon_modes(cfg: dict, units: str) -> kinematics.PhotonEnsemble:
                                 required=False, default=0.0))
         weight = _num(ph, "weight", None, units, required=False, default=1.0)
         modes.append(kinematics.PhotonMode.from_angles(omega, theta, phi, weight))
-    return kinematics.PhotonEnsemble(tuple(modes))
+    return kinematics.PhotonEnsemble(modes)
 
 
 def cmd_mass_discrete(cfg: dict, args) -> None:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import C, HBAR
 
 # Relative slack for the timelike-or-null check.  A spacelike photon sum
@@ -76,14 +78,30 @@ class PhotonMode:
         return cls(omega, n, weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PhotonEnsemble:
-    """A finite, ordered collection of weighted photon modes."""
+    """Weighted photon modes as three read-only arrays.  PhotonEnsemble(modes)
+    packs validated PhotonModes; indexing builds them back, one per access."""
 
-    modes: tuple[PhotonMode, ...]
+    omega: np.ndarray   # (N,) rad/s
+    n: np.ndarray       # (N, 3) unit directions
+    weight: np.ndarray  # (N,)
 
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
+    def __init__(self, modes=()):
+        modes = tuple(modes)
+        n = len(modes)
+        a = np.array([m.omega for m in modes] + [m.weight for m in modes]
+                     + [c for m in modes for c in m.direction], dtype=float)
+        a.flags.writeable = False  # and so are its views
+        vars(self).update(omega=a[:n], n=a[2 * n:].reshape(n, 3), weight=a[n:2 * n])
+
+    def __len__(self) -> int:
+        return len(self.omega)
+
+    def __getitem__(self, i: int) -> PhotonMode:
+        return PhotonMode(float(self.omega[i]), tuple(self.n[i].tolist()), float(self.weight[i]))
+
+    modes = property(lambda self: self)  # the API edge: a sequence of PhotonMode
 
 
 @dataclass(frozen=True)
@@ -101,33 +119,33 @@ class BoostFrame:
         return 1.0 / math.sqrt(1.0 - self.beta**2)
 
 
+@np.errstate(over="ignore")
+def _energies(ensemble: PhotonEnsemble) -> np.ndarray:
+    """weight*hbar*omega per mode in erg; overflows to inf as a float would."""
+    if not ensemble.omega.size:
+        raise ValueError("empty ensemble")
+    return ensemble.weight * HBAR * ensemble.omega
+
+
 def total_four_momentum(ensemble: PhotonEnsemble) -> FourMomentum:
     """Weighted component-wise sum of hbar*omega/c * (1, n) over all modes."""
-    if not ensemble.modes:
-        raise ValueError("empty ensemble")
-    ks = [m.weight * HBAR * m.omega / C for m in ensemble.modes]
-    e = math.fsum(ks)
-    if not math.isfinite(e):
-        # some weight*hbar*omega/c overflowed; the p sums would report its
-        # inf - inf as a ValueError, not as arithmetic
+    k = _energies(ensemble) / C
+    e = math.fsum(k.tolist())
+    if not math.isfinite(e):  # the p sums would call inf - inf a ValueError
         raise FloatingPointError("non-finite photon momentum weight*hbar*omega/c")
-    px = math.fsum(k * m.direction[0] for k, m in zip(ks, ensemble.modes))
-    py = math.fsum(k * m.direction[1] for k, m in zip(ks, ensemble.modes))
-    pz = math.fsum(k * m.direction[2] for k, m in zip(ks, ensemble.modes))
-    return FourMomentum(e, px, py, pz)
+    return FourMomentum(e, *map(math.fsum, (ensemble.n.T * k).tolist()))
+
+
+def _mass_squared(p: FourMomentum) -> float:
+    pa = p.p_abs
+    return (p.e_over_c - pa) * (p.e_over_c + pa)
 
 
 def invariant_mass(p: FourMomentum) -> float:
-    """Invariant mass in g, via the factored form.
-
-    epsilon^2 - c^2 p^2 is evaluated as (e/c - |p|)(e/c + |p|).  This is not
-    cancellation-safe: e/c - |p| still subtracts two totals, so for an
-    ensemble of opening angle theta the relative error is about
-    1e-16/theta^2 (6e-11 at theta = 1e-3, 8e-6 at 1e-6, total at 1e-8).
-    collinear_energy_deficit and pairwise_invariant_mass keep small angles.
-    """
-    pa = p.p_abs
-    s = (p.e_over_c - pa) * (p.e_over_c + pa)
+    """Invariant mass in g from (e/c - |p|)(e/c + |p|).  Not cancellation-safe:
+    at opening angle theta the relative error is about 1e-16/theta^2 (total at
+    1e-8); collinear_energy_deficit and pairwise_invariant_mass stay exact."""
+    s = _mass_squared(p)
     if not math.isfinite(s):
         raise FloatingPointError(f"non-finite mass^2 {s!r} from four-momentum {p}")
     if not s >= -SPACELIKE_TOL * p.e_over_c**2:
@@ -136,46 +154,28 @@ def invariant_mass(p: FourMomentum) -> float:
 
 
 def pairwise_invariant_mass(ensemble: PhotonEnsemble) -> float:
-    """Mass in g from the sum of pairwise four-products.
+    """Mass in g from m^2 c^2 = sum_{i<j} 2 p_i . p_j (null diagonal), each
+    1 - n_i.n_j taken as |n_i - n_j|^2/2 so near-collinear pairs stay exact.
+    The pairs are summed row by row, in O(N) memory."""
+    k, n = _energies(ensemble) / C, ensemble.n
 
-    m^2 c^2 = sum_{i,j} (p_i . p_j); the diagonal terms vanish identically
-    for null photons, so only i < j pairs are accumulated (doubled).  Each
-    1 - n_i.n_j is taken as |n_i - n_j|^2/2, which keeps it exact for
-    near-collinear pairs.
-    """
-    if not ensemble.modes:
-        raise ValueError("empty ensemble")
-    modes = ensemble.modes
-    terms = []
-    for i in range(len(modes)):
-        mi = modes[i]
-        pi = mi.weight * HBAR * mi.omega / C
-        for j in range(i + 1, len(modes)):
-            mj = modes[j]
-            pj = mj.weight * HBAR * mj.omega / C
-            dx, dy, dz = (a - b for a, b in zip(mi.direction, mj.direction))
-            terms.append(pi * pj * (dx * dx + dy * dy + dz * dz))  # 2(1 - n_i.n_j)
-    s = math.fsum(terms)
+    def row(i: int) -> list[float]:  # 2 p_i.p_j = p_i p_j |n_i - n_j|^2 for j > i
+        dx, dy, dz = (n[i] - n[i + 1:]).T
+        return (k[i] * k[i + 1:] * (dx * dx + dy * dy + dz * dz)).tolist()
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in floats
+        s = math.fsum(t for i in range(len(k)) for t in row(i))
     return math.sqrt(max(s, 0.0)) / C
 
 
 def collinear_energy_deficit(ensemble: PhotonEnsemble) -> float:
-    """epsilon - c*p_z in erg, as a direct sum of per-mode deficits.
-
-    Each mode contributes weight * hbar*omega * (1 - n_z), taken as
-    (n_x^2 + n_y^2)/(1 + n_z) for a forward mode; for a near-collinear
-    ensemble this keeps the O(theta^2) deficit exactly where 1 - n_z, or
-    the subtraction of two large totals, would not.
-    """
-    if not ensemble.modes:
-        raise ValueError("empty ensemble")
-    return math.fsum(m.weight * HBAR * m.omega * _one_minus_nz(m.direction)
-                     for m in ensemble.modes)
-
-
-def _one_minus_nz(n: tuple[float, float, float]) -> float:
-    nx, ny, nz = n
-    return (nx * nx + ny * ny) / (1.0 + nz) if nz > 0.0 else 1.0 - nz
+    """epsilon - c*p_z in erg, summed per mode as weight*hbar*omega*(1 - n_z)
+    with 1 - n_z = (n_x^2 + n_y^2)/(1 + n_z) for forward modes, so an
+    O(theta^2) deficit stays exact where two large totals would cancel."""
+    nx, ny, nz = ensemble.n.T
+    one_minus_nz = np.divide(nx * nx + ny * ny, 1.0 + nz, out=1.0 - nz, where=nz > 0.0)
+    with np.errstate(invalid="ignore"):  # an inf energy times 0 is NaN, as in floats
+        return math.fsum((_energies(ensemble) * one_minus_nz).tolist())
 
 
 def ensemble_velocity(p: FourMomentum) -> float:
@@ -186,30 +186,29 @@ def ensemble_velocity(p: FourMomentum) -> float:
     return max(-C, min(C, v))
 
 
-def boost_photon(mode: PhotonMode, frame: BoostFrame) -> PhotonMode:
-    """Standard null-vector boost along z; occupation is Lorentz-invariant."""
-    b = frame.beta
-    g = frame.gamma
-    k = mode.omega / C
-    kx = k * mode.direction[0]
-    ky = k * mode.direction[1]
-    kz = k * mode.direction[2]
-    k_new = g * (k - b * kz)          # omega'/c
-    kz_new = g * (kz - b * k)
-    omega_new = C * k_new
-    nx, ny, nz = kx / k_new, ky / k_new, kz_new / k_new
-    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    return PhotonMode(omega_new, (nx / norm, ny / norm, nz / norm), mode.weight)
-
-
 def boost_ensemble(ensemble: PhotonEnsemble, frame: BoostFrame) -> PhotonEnsemble:
-    return PhotonEnsemble(tuple(boost_photon(m, frame) for m in ensemble.modes))
+    """Standard null-vector boost along z; occupation is Lorentz-invariant."""
+    b, g = frame.beta, frame.gamma
+    k = ensemble.omega / C
+    kv = ensemble.n.T * k             # (kx, ky, kz) rows, then the new direction
+    k_new = g * (k - b * kv[2])       # omega'/c, at most 2^26 * 2k: finite
+    # C * max(ks) overflows iff C * k_new does; past it no step overflows or divides by 0
+    ks = k_new.tolist()
+    if ks and not (0.0 < min(ks) and C * max(ks) < math.inf):
+        raise ValueError("mode frequency must be finite and positive")
+    kv[2] = g * (kv[2] - b * k)
+    kv /= k_new
+    sq = kv * kv
+    kv /= np.sqrt(sq[0] + sq[1] + sq[2])
+    omega = C * k_new
+    omega.flags.writeable = kv.flags.writeable = False
+    boosted = object.__new__(PhotonEnsemble)
+    vars(boosted).update(omega=omega, n=kv.T, weight=ensemble.weight)
+    return boosted
 
 
 def rest_frame(p: FourMomentum) -> BoostFrame:
     """Frame in which p_z vanishes; only massive momenta have one."""
-    pa = p.p_abs
-    s = (p.e_over_c - pa) * (p.e_over_c + pa)
-    if s <= SPACELIKE_TOL * p.e_over_c**2:
+    if _mass_squared(p) <= SPACELIKE_TOL * p.e_over_c**2:
         raise ValueError("no rest frame for null momentum")
     return BoostFrame(p.pz / p.e_over_c)

@@ -212,3 +212,26 @@ class TestNonFiniteArguments:
     def test_w_limit_scaling_factors(self, mode, waist):
         with pytest.raises(ValueError, match="waists must be finite"):
             w_limit_scaling(PAPER_PULSE, mode, [1.0, waist])
+
+
+class TestOverflowNamesTheQuantity:
+    def test_pulse_energy_product(self):
+        # e0^2 and w^2 are in range; sqrt(pi) c tau w^2 e0^2/8 is not
+        p = GaussianPulseParams(1e150, 1e-12, 1e5, OMEGA0)
+        with pytest.raises(OverflowError, match="the pulse energy is out of floating-point range"):
+            pulse_energy(p)
+
+    @pytest.mark.parametrize("mass, energy", [
+        (1e190, 1e220),   # (m c^2)^2 raises
+        (1e-10, 1e160),   # energy^2 is inf, which made c - v a silent 0
+        (1e129, 1e150),   # (m c^2)^2 is finite, c (m c^2)^2 is not
+    ])
+    def test_speed_deficit(self, mass, energy):
+        with pytest.raises(OverflowError, match=r"c - v = c \(m c\^2\)\^2/\(2 energy\^2\)"):
+            speed_deficit(mass, energy)
+
+    def test_in_range_values_are_unchanged(self):
+        mass, energy = 1.7e-21, 1e5
+        assert speed_deficit(mass, energy) == C * (mass * C * C) ** 2 / (2.0 * energy * energy)
+        assert pulse_energy(PAPER_PULSE) == (math.sqrt(math.pi) * C * PAPER_PULSE.tau
+                                             * PAPER_PULSE.w**2 * PAPER_PULSE.e0**2 / 8.0)

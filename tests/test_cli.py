@@ -391,6 +391,34 @@ class TestNonFinite:
         assert out == ""
         assert err.startswith("numerical error: OverflowError: w = 1e+200 cm: w^2 overflows")
 
+    OVERFLOWING_ENERGY = {"e0": 1e150, "w": 1e5, "tau": 1e-12, "lambda": 1e-4}
+
+    @pytest.mark.parametrize("command, payload", [
+        ("mass-pulse", OVERFLOWING_ENERGY),
+        ("speed", OVERFLOWING_ENERGY),
+        ("sweep", {"parameter": "w", "values": [1e5], "mode": "fixed_E0",
+                   "pulse": {**OVERFLOWING_ENERGY, "w": 1.0}}),
+    ])
+    def test_overflowing_pulse_energy_is_named(self, tmp_path, capsys, command, payload):
+        # e0^2 and w^2 are in range, their product with c tau is not
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "numerical error: OverflowError: e0 = 1e+150 statvolt/cm, w = 100000 cm, "
+            "tau = 1e-12 s: the pulse energy is out of floating-point range")
+
+    def test_overflowing_speed_deficit_is_named(self, tmp_path, capsys):
+        # the energy is finite, (m c^2)^2 is not
+        cfg = write_config(tmp_path, "c.json",
+                           {"e0": 1e100, "w": 1e5, "tau": 1.0, "lambda": 1e-4})
+        code, out, err = run_cli(capsys, "speed", "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: OverflowError: mass = ")
+        assert err.rstrip().endswith("c - v = c (m c^2)^2/(2 energy^2) overflows")
+
     def test_non_finite_result_is_numerical_error(self, tmp_path, capsys):
         # finite inputs whose photon energy sum overflows to inf
         cfg = write_config(tmp_path, "c.json", {"photons": [
