@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .constants import C, HBAR
-from .spectral import GaussianPulseParams, validity_ratio
+from .pulse import GaussianPulseParams, validity_ratio
 
 
 class ParaxialError(ValueError):

@@ -5,7 +5,7 @@ individual keys.  Scalar results go to stdout as JSON, grids and sweeps to
 CSV.  All library computation is Gaussian-CGS; in --units si mode every
 numeric input is converted exactly once at this boundary.  Warnings go to
 stderr, one ``warning: <Category>: <message>`` line each, never into data
-files.
+files.  numpy and scipy load only in the commands that need them.
 """
 from __future__ import annotations
 
@@ -16,11 +16,9 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
-from . import analytic, density, experiment, kinematics, spectral
+from . import analytic, experiment
 from .constants import C
-from .spectral import GaussianPulseParams, QuadratureError
+from .pulse import GaussianPulseParams, QuadratureError, validity_ratio
 from .units import convert_units
 
 SCHEMA_VERSION = "1"
@@ -147,7 +145,8 @@ def _emit_csv(header: list[str], rows: list[list[str]], out_path: str | None) ->
     _emit("\n".join(",".join(r) for r in [header, *rows]) + "\n", out_path)
 
 
-def _photon_modes(cfg: dict, units: str) -> kinematics.PhotonEnsemble:
+def _photon_modes(cfg: dict, units: str):
+    from . import kinematics
     photons = cfg.get("photons")
     if not isinstance(photons, list) or not photons:
         raise ConfigError("'photons' must be a non-empty list")
@@ -165,6 +164,7 @@ def _photon_modes(cfg: dict, units: str) -> kinematics.PhotonEnsemble:
 
 
 def cmd_mass_discrete(cfg: dict, args) -> None:
+    from . import kinematics
     ensemble = _photon_modes(cfg, args.units)
     p = kinematics.total_four_momentum(ensemble)
     mass = kinematics.invariant_mass(p)
@@ -197,9 +197,10 @@ def cmd_mass_pulse(cfg: dict, args) -> None:
         fields.update(energy_erg=summary.energy, photon_count=summary.photon_count,
                       mass_g=summary.mass, speed_deficit_cm_s=summary.speed_deficit,
                       rest_energy_erg=summary.rest_energy)
-    rw, rt = spectral.validity_ratio(params)
+    rw, rt = validity_ratio(params)
     fields.update(wavelength_cm=params.wavelength, lambda_over_w=rw, lambda_over_ctau=rt)
     if args.oracle:
+        from . import spectral
         m_quad = spectral.pulse_mass_quadrature(spectral.gaussian_spectral_density(params))
         fields["mass_quadrature_g"] = m_quad
         if summary is not None:
@@ -243,6 +244,8 @@ def cmd_delay(cfg: dict, args) -> None:
 
 
 def cmd_density(cfg: dict, args) -> None:
+    import numpy as np
+    from . import density
     path = cfg.get("input")
     if not isinstance(path, str):
         raise ConfigError("'input' must be a CSV file path")
@@ -306,8 +309,10 @@ def cmd_sweep(cfg: dict, args) -> None:
 
 
 def cmd_field_profile(cfg: dict, args) -> None:
+    import numpy as np
+    from . import spectral
     params = _pulse_params(cfg, args.units)
-    rw, rt = spectral.validity_ratio(params)
+    rw, rt = validity_ratio(params)
     if max(rw, rt) > analytic.WARN_RATIO:
         warnings.warn(f"paraxial validity marginal (lambda/w = {rw:.3g}, "
                       f"lambda/ctau = {rt:.3g})", analytic.ParaxialWarning)

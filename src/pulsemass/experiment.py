@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .constants import C
 from .analytic import pulse_energy
-from .spectral import GaussianPulseParams
+from .pulse import GaussianPulseParams
 
 
 class GeometryWarning(UserWarning):

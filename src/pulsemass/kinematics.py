@@ -20,6 +20,14 @@ SPACELIKE_TOL = 1e-9
 _UNIT_TOL = 1e-12
 
 
+def _squared(name: str, value: float) -> float:
+    try:
+        return value**2
+    except OverflowError:
+        raise OverflowError(f"{name} = {value:.6g} g cm/s: {name}^2 overflows, so the "
+                            "four-momentum is out of floating-point range") from None
+
+
 @dataclass(frozen=True)
 class FourMomentum:
     """A four-momentum (e/c, px, py, pz); all components in g*cm/s."""
@@ -30,8 +38,9 @@ class FourMomentum:
     pz: float
 
     def __post_init__(self):
-        e2 = self.e_over_c**2
-        gap = e2 - (self.px**2 + self.py**2 + self.pz**2)
+        e2 = _squared("e_over_c", self.e_over_c)
+        p2 = _squared("px", self.px) + _squared("py", self.py) + _squared("pz", self.pz)
+        gap = e2 - p2
         # a non-finite component makes gap infinite or NaN
         if not math.isfinite(gap):
             raise FloatingPointError(
@@ -42,7 +51,7 @@ class FourMomentum:
             raise ValueError("spacelike four-momentum: corrupted ensemble")
 
     @property
-    def p_abs(self) -> float:
+    def p_abs(self) -> float:  # the squares are in range: __post_init__ took them
         return math.sqrt(self.px**2 + self.py**2 + self.pz**2)
 
 

@@ -431,6 +431,17 @@ class TestNonFinite:
         assert not out_path.exists()
         assert "non-finite" in err
 
+    def test_overflowing_four_momentum_is_named(self, tmp_path, capsys):
+        # each photon momentum is finite, the square of their total is not
+        cfg = write_config(tmp_path, "c.json", {"photons": [
+            {"omega": 1e308, "weight": 1e20, "theta_deg": 30.0},
+            {"omega": 1e308, "weight": 1e20, "theta_deg": -30.0}]})
+        code, out, err = run_cli(capsys, "mass-discrete", "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: OverflowError: e_over_c = 7.03535e+290 g cm/s: "
+                              "e_over_c^2 overflows")
+
 
 class TestWarnings:
     def test_geometry_warning_is_one_line(self, tmp_path, capsys):
@@ -559,6 +570,64 @@ class TestImportGraph:
             exact = (e0 * math.exp(-0.75**2 / (2 * w * w)) * math.sin(omega0 * t)
                      * math.exp(-t * t / (2 * tau * tau)))
             assert abs(float(e_raw) - exact) <= 1e-4 * e0
+
+
+_NUMPY_IMPORT_GRAPH_CHILD = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import pulsemass, pulsemass.cli
+    from pulsemass import cli
+    loaded = {"import": "numpy" in sys.modules}
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        assert code == 0, (argv, code)
+
+    pulse, delay, sweep_w, sweep_f, discrete, density, field = sys.argv[1:8]
+    for units in ("cgs", "si"):
+        run("mass-pulse", "--config", pulse, "--units", units)
+        run("speed", "--config", pulse, "--units", units)
+        run("delay", "--config", delay, "--units", units)
+        run("sweep", "--config", sweep_w, "--units", units)
+        run("sweep", "--config", sweep_f, "--units", units)
+    loaded["closed forms"] = "numpy" in sys.modules
+    run("mass-discrete", "--config", discrete)
+    run("mass-pulse", "--config", pulse, "--oracle")
+    run("density", "--config", density)
+    run("field-profile", "--config", field)
+    print(json.dumps(loaded))
+""")
+
+
+class TestNumpyImportGraph:
+    def test_numpy_loaded_only_by_the_array_commands(self, tmp_path):
+        """The package, the CLI module and the closed-form commands leave
+        numpy unloaded; the array commands then run in the same process."""
+        csv_path = tmp_path / "fields.csv"
+        csv_path.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n0,0,0,0,1,0,0,0,0.5,0\n")
+        configs = [
+            write_config(tmp_path, "pulse.json", PULSE_CGS),
+            write_config(tmp_path, "delay.json",
+                         {"w_half": 0.5, "f": 5.0, "source": PULSE_CGS}),
+            write_config(tmp_path, "sweep_w.json", {
+                "parameter": "w", "values": [0.5, 1.0], "mode": "fixed_E0",
+                "pulse": PULSE_CGS}),
+            write_config(tmp_path, "sweep_f.json", {
+                "parameter": "f", "values": [5.0, 10.0],
+                "delay": {"w_half": 0.5, "source": PULSE_CGS}}),
+            write_config(tmp_path, "discrete.json", {"photons": [
+                {"lambda": 1e-4, "theta_deg": 45.0},
+                {"lambda": 1e-4, "theta_deg": -45.0}]}),
+            write_config(tmp_path, "density.json", {"input": str(csv_path)}),
+            write_config(tmp_path, "field.json", FIELD_CGS),
+        ]
+        src = os.path.dirname(os.path.dirname(pulsemass.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_GRAPH_CHILD, *configs],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"import": False, "closed forms": False}
 
 
 # The stdout of six commands on the configs above, captured once and
