@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .constants import C, HBAR
-from .pulse import GaussianPulseParams, validity_ratio
+from .pulse import GaussianPulseParams, _squared, validity_ratio
 
 
 class ParaxialError(ValueError):
@@ -54,21 +54,11 @@ def _check_paraxial(params: GaussianPulseParams) -> tuple[float, float]:
     return rw, rt
 
 
-def _squared(name: str, value: float, unit: str) -> float:
-    """value^2, with an OverflowError that names the quantity where it
-    leaves the range."""
-    try:
-        return value**2
-    except OverflowError:
-        raise OverflowError(
-            f"{name} = {value:.6g} {unit}: {name}^2 overflows, so the pulse "
-            "energy and mass are out of floating-point range") from None
-
-
 def pulse_energy(params: GaussianPulseParams) -> float:
     """Paraxial pulse energy sqrt(pi)*c*tau*w^2*E0^2/8 in erg."""
-    energy = (math.sqrt(math.pi) * C * params.tau * _squared("w", params.w, "cm")
-              * _squared("e0", params.e0, "statvolt/cm") / 8.0)
+    what = "the pulse energy and mass are out of floating-point range"
+    energy = (math.sqrt(math.pi) * C * params.tau * _squared("w", params.w, "cm", what)
+              * _squared("e0", params.e0, "statvolt/cm", what) / 8.0)
     if not math.isfinite(energy):
         raise OverflowError(f"e0 = {params.e0:.6g} statvolt/cm, w = {params.w:.6g} cm, tau = "
                             f"{params.tau:.6g} s: the pulse energy is out of floating-point range")

@@ -79,10 +79,11 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _num(cfg: dict, key: str, kind: str | None, units: str, *,
-         required: bool = True, default: float | None = None) -> float | None:
+def _num(cfg: dict, key: str, kind: str | None, units: str,
+         default: float | None = None) -> float:
+    """cfg[key] as a finite CGS float; optional exactly when it has a default."""
     if key not in cfg:
-        if required:
+        if default is None:
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
@@ -156,9 +157,8 @@ def _photon_modes(cfg: dict, units: str):
             raise ConfigError(f"photon {i} must be an object")
         omega = _omega(ph, "omega", units, f"photon {i}")
         theta = math.radians(_num(ph, "theta_deg", None, units))
-        phi = math.radians(_num(ph, "phi_deg", None, units,
-                                required=False, default=0.0))
-        weight = _num(ph, "weight", None, units, required=False, default=1.0)
+        phi = math.radians(_num(ph, "phi_deg", None, units, 0.0))
+        weight = _num(ph, "weight", None, units, 1.0)
         modes.append(kinematics.PhotonMode.from_angles(omega, theta, phi, weight))
     return kinematics.PhotonEnsemble(modes)
 
@@ -269,8 +269,9 @@ def cmd_density(cfg: dict, args) -> None:
             raise ConfigError(f"row {i}: non-numeric field component") from None
     fields = np.array(fields, dtype=float).reshape(-1, 6)
     if args.units == "si":
-        fields[:, :3] *= convert_units(1.0, "field", *_UNITS["field"])
-        fields[:, 3:] *= convert_units(1.0, "magnetic_field", *_UNITS["magnetic_field"])
+        with np.errstate(over="ignore"):  # an overflow to inf is the row check's to report
+            fields[:, :3] *= convert_units(1.0, "field", *_UNITS["field"])
+            fields[:, 3:] *= convert_units(1.0, "magnetic_field", *_UNITS["magnetic_field"])
     bad = ~np.isfinite(fields).all(axis=1)
     if bad.any():
         raise ConfigError(f"row {int(np.argmax(bad))}: field components must be finite")
@@ -316,11 +317,11 @@ def cmd_field_profile(cfg: dict, args) -> None:
     if max(rw, rt) > analytic.WARN_RATIO:
         warnings.warn(f"paraxial validity marginal (lambda/w = {rw:.3g}, "
                       f"lambda/ctau = {rt:.3g})", analytic.ParaxialWarning)
-    r_perp = _num(cfg, "r_perp", "length", args.units, required=False, default=0.0)
-    z = _num(cfg, "z", "length", args.units, required=False, default=0.0)
+    r_perp = _num(cfg, "r_perp", "length", args.units, 0.0)
+    z = _num(cfg, "z", "length", args.units, 0.0)
     t_min = _num(cfg, "t_min", "time", args.units)
     t_max = _num(cfg, "t_max", "time", args.units)
-    n_t = _num(cfg, "n_t", None, args.units, required=False, default=101.0)
+    n_t = _num(cfg, "n_t", None, args.units, 101.0)
     if not (n_t.is_integer() and 2 <= n_t <= MAX_FIELD_SAMPLES):
         raise ConfigError(
             f"'n_t' must be an integer from 2 to {MAX_FIELD_SAMPLES}, got {n_t!r}")
@@ -365,6 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
+        warnings.simplefilter("default", UserWarning)  # one line each, even under -W error
         warnings.showwarning = _print_warning
         try:
             cfg = _load_config(args)

@@ -12,20 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR
+from .pulse import _squared
 
 # Relative slack for the timelike-or-null check.  A spacelike photon sum
 # indicates a bug upstream, not numerical noise, so beyond this we raise.
 SPACELIKE_TOL = 1e-9
 
 _UNIT_TOL = 1e-12
-
-
-def _squared(name: str, value: float) -> float:
-    try:
-        return value**2
-    except OverflowError:
-        raise OverflowError(f"{name} = {value:.6g} g cm/s: {name}^2 overflows, so the "
-                            "four-momentum is out of floating-point range") from None
 
 
 @dataclass(frozen=True)
@@ -38,8 +31,10 @@ class FourMomentum:
     pz: float
 
     def __post_init__(self):
-        e2 = _squared("e_over_c", self.e_over_c)
-        p2 = _squared("px", self.px) + _squared("py", self.py) + _squared("pz", self.pz)
+        what = "the four-momentum is out of floating-point range"
+        e2 = _squared("e_over_c", self.e_over_c, "g cm/s", what)
+        p2 = (_squared("px", self.px, "g cm/s", what) + _squared("py", self.py, "g cm/s", what)
+              + _squared("pz", self.pz, "g cm/s", what))
         gap = e2 - p2
         # a non-finite component makes gap infinite or NaN
         if not math.isfinite(gap):

@@ -58,6 +58,8 @@ class SpectralDensity:
     kperp_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.kz_min, self.kz_max, self.kperp_max))):
+            raise ValueError("support window must be finite")
         if self.kz_min <= 0.0:
             raise ValueError("support must lie in the forward half-space k_z > 0")
         if self.kz_max <= self.kz_min or self.kperp_max <= 0.0:
@@ -113,10 +115,8 @@ def gaussian_spectral_density(params: GaussianPulseParams) -> SpectralDensity:
     scale = params.tau * params.tau / (8.0 * math.pi * HBAR * C)
 
     def rho(kperp, kz):
-        # a^2 out of range fails at once rather than refine on infinities
-        with np.errstate(over="raise"):
-            a = _amplitude(params, kperp, kz)
-            return scale * a * a / np.hypot(kz, kperp)
+        a = _amplitude(params, kperp, kz)
+        return scale * a * a / np.hypot(kz, kperp)
 
     return SpectralDensity(rho, *_window(params))
 
@@ -134,17 +134,21 @@ def _grid(a: float, b: float, n: int):
 
 def _nodes(kz_min: float, kz_max: float, kperp_max: float, n: int):
     """Gauss-Legendre tensor nodes KP, KZ (n x n, k_perp first) over the
-    window, with the per-axis weights wp, wz."""
+    window, |k|, the dispersion deficit omega_k - c*k_z in its exact,
+    cancellation-free form c*k_perp^2/(|k| + k_z), and the axis weights wp, wz."""
     kz, wz = _grid(kz_min, kz_max, n)
     kp, wp = _grid(0.0, kperp_max, n)
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
-    return KP, KZ, wp, wz
+    K = np.hypot(KZ, KP)
+    return KP, KZ, K, C * KP * KP / (K + KZ), wp, wz
 
 
+@np.errstate(over="raise", invalid="raise")
 def _refine(estimate: Callable[[int], np.ndarray], n: int, n_max: int,
             rtol: float, atol: float) -> np.ndarray:
     """estimate(n) for n doubling up to n_max >= 2n, until two successive
-    levels agree to atol + rtol*|cur| in every component."""
+    levels agree to atol + rtol*|cur| in every component; an overflow or
+    invalid operation raises FloatingPointError at once."""
     cur = estimate(n)
     while 2 * n <= n_max:
         n *= 2
@@ -164,16 +168,12 @@ def integrate_observables(density: SpectralDensity) -> EnergyMomentum:
 
     d^3k = 2 pi k_perp dk_perp dk_z under azimuthal symmetry; the transverse
     momentum components vanish identically and are never computed.  The
-    deficit integrand omega_k - c*k_z is evaluated as c*k_perp^2/(|k| + k_z),
-    which is exact and free of the catastrophic cancellation of the naive
-    difference.
+    deficit integrand omega_k - c*k_z is _nodes' cancellation-free deficit.
     """
     def estimate(n):
-        KP, KZ, wp, wz = _nodes(density.kz_min, density.kz_max, density.kperp_max, n)
+        KP, KZ, k, deficit, wp, wz = _nodes(density.kz_min, density.kz_max, density.kperp_max, n)
         rho = density.amplitude(KP, KZ)
-        k = np.hypot(KZ, KP)
         base = 2.0 * math.pi * KP * rho
-        deficit = C * KP * KP / (k + KZ)
 
         def total(integrand):
             # fixed contraction order keeps the result deterministic per level
@@ -205,15 +205,14 @@ def _field_static(params: GaussianPulseParams, r_perp: float, window, n: int):
     """Boundary-field integrand on n x n Gauss-Legendre nodes over window,
     flattened: the time-independent amplitude times the weights and the
     prefactor tau/sqrt(2 pi), k_z, and the dispersion deficit omega_k - c*k_z
-    in its cancellation-free form."""
+    from _nodes."""
     # imported here so that only field reconstruction pays for scipy
     from scipy.special import j0
 
-    KP, KZ, wp, wz = _nodes(*window, n)
-    k = np.hypot(KZ, KP)
+    KP, KZ, _, deficit, wp, wz = _nodes(*window, n)
     static = KP * j0(KP * r_perp) * _amplitude(params, KP, KZ)
     static *= np.outer(wp, wz) * (params.tau / math.sqrt(2.0 * math.pi))
-    return static.ravel(), KZ.ravel(), (C * KP * KP / (k + KZ)).ravel()
+    return static.ravel(), KZ.ravel(), deficit.ravel()
 
 
 def _field_sum(level, z: float, times: np.ndarray) -> np.ndarray:
@@ -243,6 +242,8 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
     successive levels agree to _FIELD_ABS_TOL * e0 at every time, up to
     _FIELD_MAX_N; beyond that QuadratureError is raised.
     """
+    if not (math.isfinite(r_perp) and math.isfinite(z)):
+        raise ValueError("r_perp and z must be finite")
     if z < 0.0:
         raise ValueError("the boundary problem defines the field for z >= 0 only")
     times = np.asarray(times, dtype=float)

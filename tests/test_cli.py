@@ -12,7 +12,7 @@ import textwrap
 import pytest
 
 import pulsemass
-from pulsemass import density, spectral
+from pulsemass import cli, density, spectral
 from pulsemass.cli import MAX_FIELD_SAMPLES, main
 from pulsemass.constants import C
 from pulsemass.units import convert_units
@@ -226,6 +226,16 @@ class TestDensityCommand:
         assert code == 2
         assert out == ""
         assert "row 1" in err and "finite" in err
+
+    def test_si_overflow_is_one_config_error_line(self, tmp_path, capsys):
+        # the tesla -> gauss product overflows; the row check reports it, numpy does not
+        csv_in = tmp_path / "fields.csv"
+        csv_in.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n"
+                          "0,0,0,0,1,0,0,0,1,0\n0,0,0,0,1,0,0,1e305,0,0\n")
+        cfg = write_config(tmp_path, "c.json", {"input": str(csv_in)})
+        code, out, err = run_cli(capsys, "density", "--config", cfg, "--units", "si")
+        assert (code, out) == (2, "")
+        assert err == "config error: row 1: field components must be finite\n"
 
     def test_rows_never_become_field_samples(self, tmp_path, capsys, monkeypatch):
         def no_samples(*args, **kwargs):
@@ -442,6 +452,16 @@ class TestNonFinite:
         assert err.startswith("numerical error: OverflowError: e_over_c = 7.03535e+290 g cm/s: "
                               "e_over_c^2 overflows")
 
+    def test_overflowing_field_amplitude_fails_at_once(self, capsys):
+        # e0 w^2 is out of range: the first refinement level stops, no warning line
+        code, out, err = run_cli(
+            capsys, "field-profile", "--set", "e0=1e300", "--set", "w=1e5",
+            "--set", "tau=1e-12", "--set", "lambda=1e-4", "--set", "t_min=-1e-12",
+            "--set", "t_max=1e-12", "--set", "n_t=3")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical error: FloatingPointError:")
+
 
 class TestWarnings:
     def test_geometry_warning_is_one_line(self, tmp_path, capsys):
@@ -475,6 +495,23 @@ class TestWarnings:
         assert err.splitlines() == [
             "warning: GeometryWarning: f/L_D = 3.18: focusing gain not dominant "
             "over intrinsic diffraction"]
+
+    @pytest.mark.parametrize("command, payload, flags, env, category", [
+        ("speed", {**PULSE_CGS, "w": 1e-3}, ["-W", "error"], {}, "ParaxialWarning"),
+        ("delay", {"w_half": 0.75, "f": 5.0, "source": PULSE_CGS}, [],
+         {"PYTHONWARNINGS": "error"}, "GeometryWarning"),
+    ], ids=["speed -W error", "delay PYTHONWARNINGS=error"])
+    def test_warning_stays_a_line_when_warnings_are_errors(
+            self, tmp_path, command, payload, flags, env, category):
+        cfg = write_config(tmp_path, "c.json", payload)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "pulsemass.cli", command, "--config", cfg],
+            capture_output=True, text=True, env={**os.environ, **env})
+        assert proc.returncode == 0, proc.stderr
+        json.loads(proc.stdout)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"warning: {category}: ")
 
     def test_repeated_runs_warn_each_time(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {**PULSE_CGS, "w": 1e-3})
@@ -749,6 +786,12 @@ class TestPlumbing:
             main([command, "--oracle"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --oracle" in capsys.readouterr().err
+
+    def test_key_is_optional_exactly_when_it_has_a_default(self):
+        assert cli._num({}, "r_perp", "length", "si", 0.0) == 0.0
+        assert cli._num({"r_perp": 2.0}, "r_perp", "length", "si", 0.0) == 200.0
+        with pytest.raises(cli.ConfigError, match="missing config key 'r_perp'"):
+            cli._num({}, "r_perp", "length", "si")
 
     def test_bad_set_syntax(self, capsys):
         code, _, _ = run_cli(capsys, "mass-pulse", "--set", "nonsense")

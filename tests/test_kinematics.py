@@ -307,6 +307,18 @@ class TestInvariantsAndHelpers:
         with pytest.raises(FloatingPointError, match="non-finite"):
             total_four_momentum(ens)
 
+    def test_negative_energy_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FourMomentum(-1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("slot, name", enumerate(["e_over_c", "px", "py", "pz"]))
+    def test_overflowing_square_is_named(self, slot, name):
+        components = [1.0, 0.0, 0.0, 0.0]
+        components[slot] = 1e200
+        with pytest.raises(OverflowError, match="^" + name + r" = 1e\+200 g cm/s: " + name
+                           + r"\^2 overflows, so the four-momentum is out of floating-point range$"):
+            FourMomentum(*components)
+
     def test_invariant_mass_rejects_non_finite(self):
         class Momentum:  # a duck-typed momentum that skipped validation
             e_over_c, p_abs = math.inf, math.inf

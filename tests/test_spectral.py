@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -377,3 +378,59 @@ class TestQuadratureEngine:
             field_profile(p, 0.0, 0.0, [0.0])[0]
         with pytest.warns(ForwardClipWarning):
             assert spectral._window(p) == (d.kz_min, d.kz_max, d.kperp_max)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_support_window_must_be_finite(self, slot, bad):
+        window = [1.0, 2.0, 1.0]  # kz_min, kz_max, kperp_max
+        window[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpectralDensity(lambda kp, kz: kz, *window)
+
+    @pytest.mark.parametrize("window", [(2.0, 2.0, 1.0), (2.0, 1.0, 1.0),
+                                        (1.0, 2.0, 0.0), (1.0, 2.0, -1.0)])
+    def test_degenerate_support_window(self, window):
+        with pytest.raises(ValueError, match="degenerate support window"):
+            SpectralDensity(lambda kp, kz: kz, *window)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", ["r_perp", "z"])
+    def test_field_position_must_be_finite(self, monkeypatch, position, bad):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran on a non-finite position")
+
+        monkeypatch.setattr(spectral, "_amplitude", no_quadrature)
+        p = params_for(1e-3, 1e-2)
+        at = {"r_perp": 0.0, "z": 0.0, position: bad}
+        with pytest.raises(ValueError, match="finite"):
+            field_profile(p, at["r_perp"], at["z"], [0.0])
+
+
+class TestRefineFailsAtOnce:
+    def test_field_overflow_stops_at_the_first_level(self, monkeypatch):
+        # e0 w^2 overflows to inf: the first level already holds inf - inf
+        calls = []
+        amplitude = spectral._amplitude
+
+        def counting(params, kperp, kz):
+            calls.append(kperp.shape)
+            return amplitude(params, kperp, kz)
+
+        monkeypatch.setattr(spectral, "_amplitude", counting)
+        p = GaussianPulseParams(1e300, 1e-12, 1e5, 2 * math.pi * C / LAM)
+        with pytest.raises(FloatingPointError):
+            field_profile(p, 0.0, 0.0, np.linspace(-1e-12, 1e-12, 3))
+        assert calls == [(32, 32)]
+
+
+class TestNodes:
+    def test_deficit_is_exact_near_the_axis(self):
+        # k_perp/k_z down to ~1e-9: c(|k| - k_z) would lose every digit
+        KP, KZ, _, deficit, _, _ = spectral._nodes(6e4, 7e4, 6e-5, 4)
+        with mpmath.workdps(50):
+            for kp, kz, got in zip(KP.ravel(), KZ.ravel(), deficit.ravel()):
+                kp, kz = mpmath.mpf(float(kp)), mpmath.mpf(float(kz))
+                exact = mpmath.mpf(C) * (mpmath.sqrt(kz * kz + kp * kp) - kz)
+                assert abs(got - exact) <= 4e-16 * exact
