@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -276,6 +277,10 @@ def cmd_density(cfg: dict, args) -> None:
     if bad.any():
         raise ConfigError(f"row {int(np.argmax(bad))}: field components must be finite")
     mu = density.mass_density_array(fields[:, :3], fields[:, 3:])
+    bad = ~np.isfinite(mu)
+    if bad.any():
+        raise FloatingPointError(f"row {int(np.argmax(bad))}: mu overflows, "
+                                 "so the mass density is out of floating-point range")
     rows = [row + [_fmt(m)] for row, m in zip(raw_rows, mu.tolist())]
     _emit_csv(_DENSITY_HEADER + ["mu"], rows, args.out)
 
@@ -345,6 +350,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pulsemass",

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import json
 import math
 import os
@@ -441,6 +442,20 @@ class TestNonFinite:
         assert not out_path.exists()
         assert "non-finite" in err
 
+    def test_overflowing_density_row_is_named(self, tmp_path, capsys):
+        # every component is finite, E^2 of row 1 is not
+        csv_in = tmp_path / "fields.csv"
+        csv_in.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n"
+                          "0,0,0,0,1,0,0,0,1,0\n"
+                          "0,0,0,0,1e200,0,0,0,1,0\n")
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "density", "--set", f"input={csv_in}",
+                                 "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert not out_path.exists()
+        assert err == ("numerical error: FloatingPointError: row 1: mu overflows, "
+                       "so the mass density is out of floating-point range\n")
+
     def test_overflowing_four_momentum_is_named(self, tmp_path, capsys):
         # each photon momentum is finite, the square of their total is not
         cfg = write_config(tmp_path, "c.json", {"photons": [
@@ -761,6 +776,60 @@ class TestGoldenValues:
                 (t, e), (t_ref, e_ref) = row.split(","), ref.split(",")
                 assert t == t_ref
                 assert float(e) == pytest.approx(float(e_ref), rel=0, abs=1e-12 * e0)
+
+
+class TestParserReuse:
+    """main() builds its argparse parser once per process; calls stay independent."""
+
+    ORACLE_CGS = {"e0": 1.0, "tau": 3.336e-13, "w": 0.01, "lambda": 1e-4}
+
+    def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        csv_in = tmp_path / "fields.csv"
+        csv_in.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n0,0,1,0,2.0,0,0,0,1.0,0\n")
+        oracle_cfg = write_config(tmp_path, "c.json", self.ORACLE_CGS)
+        assert run_cli(capsys, "speed", "--set", "e0=1", "--set", "tau=1e-12",
+                       "--set", "w=1", "--set", "lambda=1e-4")[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli(capsys, "density", "--set", f"input={csv_in}")[0] == 0
+        assert run_cli(capsys, "mass-pulse", "--config", oracle_cfg, "--oracle")[0] == 0
+        assert built == []
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_set_overrides_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", PULSE_CGS)
+        code, overridden, _ = run_cli(capsys, "speed", "--config", cfg, "--set", "w=2")
+        assert code == 0
+        code, plain, _ = run_cli(capsys, "speed", "--config", cfg)
+        assert code == 0
+        fresh = subprocess.run([sys.executable, "-m", "pulsemass.cli", "speed", "--config", cfg],
+                               capture_output=True, text=True, check=True)
+        assert plain == fresh.stdout
+        assert overridden != plain
+
+    def test_unknown_option_on_a_later_call_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", PULSE_CGS)
+        assert run_cli(capsys, "speed", "--config", cfg)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["speed", "--config", cfg, "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pulsemass ")
+        assert err.endswith("\npulsemass: error: unrecognized arguments: --bogus\n")
+
+    def test_oracle_stays_a_mass_pulse_option_after_an_oracle_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", self.ORACLE_CGS)
+        assert run_cli(capsys, "mass-pulse", "--config", cfg, "--oracle")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["speed", "--config", cfg, "--oracle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
 
 class TestPlumbing:
