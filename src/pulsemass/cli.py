@@ -5,12 +5,11 @@ individual keys.  Scalar results go to stdout as JSON, grids and sweeps to
 CSV.  All library computation is Gaussian-CGS; in --units si mode every
 numeric input is converted exactly once at this boundary.  Warnings go to
 stderr, one ``warning: <Category>: <message>`` line each, never into data
-files.  numpy and scipy load only in the commands that need them.
+files.  numpy, scipy and csv load only in the commands that need them.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -245,6 +244,7 @@ def cmd_delay(cfg: dict, args) -> None:
 
 
 def cmd_density(cfg: dict, args) -> None:
+    import csv
     import numpy as np
     from . import density
     path = cfg.get("input")

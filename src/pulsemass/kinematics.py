@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .pulse import _squared
 SPACELIKE_TOL = 1e-9
 
 _UNIT_TOL = 1e-12
+
+_set = object.__setattr__  # the one way past a frozen dataclass's guard
 
 
 @dataclass(frozen=True)
@@ -50,28 +53,32 @@ class FourMomentum:
         return math.sqrt(self.px**2 + self.py**2 + self.pz**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class PhotonMode:
     """A single photon mode: angular frequency, unit direction, mean occupation.
 
     The implied four-momentum is null by construction (epsilon = c|p|).
+    Slotted; __init__ validates the mode and sets each field once.
     """
 
     omega: float
     direction: tuple[float, float, float]
     weight: float = 1.0
 
-    def __post_init__(self):
+    def __init__(self, omega: float, direction: tuple[float, float, float],
+                 weight: float = 1.0) -> None:
         # written so that NaN fails every check
-        if not 0.0 < self.omega < math.inf:
+        if not 0.0 < omega < math.inf:
             raise ValueError("mode frequency must be finite and positive")
-        if not 0.0 <= self.weight < math.inf:
+        if not 0.0 <= weight < math.inf:
             raise ValueError("mode weight must be finite and nonnegative")
-        nx, ny, nz = self.direction
+        nx, ny, nz = direction
         norm = math.sqrt(nx * nx + ny * ny + nz * nz)
         if not abs(norm - 1.0) <= _UNIT_TOL:
             raise ValueError(f"direction must be a unit vector (|n| = {norm})")
-        object.__setattr__(self, "direction", (float(nx), float(ny), float(nz)))
+        _set(self, "omega", omega)
+        _set(self, "direction", (float(nx), float(ny), float(nz)))
+        _set(self, "weight", weight)
 
     @classmethod
     def from_angles(cls, omega: float, theta: float, phi: float = 0.0,
@@ -94,8 +101,8 @@ class PhotonEnsemble:
     def __init__(self, modes=()):
         modes = tuple(modes)
         n = len(modes)
-        a = np.array([m.omega for m in modes] + [m.weight for m in modes]
-                     + [c for m in modes for c in m.direction], dtype=float)
+        a = np.fromiter(chain((m.omega for m in modes), (m.weight for m in modes),
+                              chain.from_iterable(m.direction for m in modes)), float, 5 * n)
         a.flags.writeable = False  # and so are its views
         vars(self).update(omega=a[:n], n=a[2 * n:].reshape(n, 3), weight=a[n:2 * n])
 

@@ -644,6 +644,7 @@ _NUMPY_IMPORT_GRAPH_CHILD = textwrap.dedent("""
         run("sweep", "--config", sweep_w, "--units", units)
         run("sweep", "--config", sweep_f, "--units", units)
     loaded["closed forms"] = "numpy" in sys.modules
+    loaded["csv after closed forms"] = "csv" in sys.modules
     run("mass-discrete", "--config", discrete)
     run("mass-pulse", "--config", pulse, "--oracle")
     run("density", "--config", density)
@@ -655,7 +656,7 @@ _NUMPY_IMPORT_GRAPH_CHILD = textwrap.dedent("""
 class TestNumpyImportGraph:
     def test_numpy_loaded_only_by_the_array_commands(self, tmp_path):
         """The package, the CLI module and the closed-form commands leave
-        numpy unloaded; the array commands then run in the same process."""
+        numpy and csv unloaded; the array commands then run in the same process."""
         csv_path = tmp_path / "fields.csv"
         csv_path.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n0,0,0,0,1,0,0,0,0.5,0\n")
         configs = [
@@ -679,7 +680,8 @@ class TestNumpyImportGraph:
         proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_GRAPH_CHILD, *configs],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"import": False, "closed forms": False}
+        assert json.loads(proc.stdout) == {"import": False, "closed forms": False,
+                                           "csv after closed forms": False}
 
 
 # The stdout of six commands on the configs above, captured once and

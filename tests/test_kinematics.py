@@ -1,6 +1,10 @@
 """Tests for discrete photon four-momentum kinematics."""
 
+import copy
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -267,7 +271,7 @@ class TestInvariantsAndHelpers:
         assert deficit == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_direction_must_be_unit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^direction must be a unit vector \(\|n\| = 1\.1\)$"):
             PhotonMode(OMEGA, (0.0, 0.0, 1.1))
 
     def test_negative_weight_rejected(self):
@@ -328,3 +332,85 @@ class TestInvariantsAndHelpers:
     def test_boost_frame_gamma(self):
         frame = BoostFrame(0.6)
         assert frame.gamma * math.sqrt(1 - 0.6**2) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPhotonModeBehaviour:
+    """The public face of PhotonMode: a frozen dataclass of three fields."""
+
+    MODE = PhotonMode(OMEGA, (0.0, 0.6, 0.8), 2.5)
+
+    def test_repr_bytes(self):
+        assert repr(self.MODE) == (
+            "PhotonMode(omega=1880000000000000.0, direction=(0.0, 0.6, 0.8), weight=2.5)")
+
+    def test_eq_and_hash(self):
+        twin = PhotonMode(OMEGA, [0.0, 0.6, 0.8], 2.5)
+        assert twin == self.MODE and twin is not self.MODE
+        assert hash(twin) == hash(self.MODE) == hash((OMEGA, (0.0, 0.6, 0.8), 2.5))
+        assert self.MODE != PhotonMode(OMEGA, (0.0, 0.6, 0.8))
+        assert self.MODE != (OMEGA, (0.0, 0.6, 0.8), 2.5)
+
+    @pytest.mark.parametrize("name", ["omega", "direction", "weight"])
+    def test_fields_are_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.MODE, name, 1.0)
+
+    def test_fields_and_default_weight(self):
+        fields = dataclasses.fields(PhotonMode)
+        assert [f.name for f in fields] == ["omega", "direction", "weight"]
+        assert fields[2].default == 1.0
+        assert PhotonMode(OMEGA, (0.0, 0.0, 1.0)).weight == 1.0
+
+    def test_replace_validates_and_keeps_the_other_fields(self):
+        out = dataclasses.replace(self.MODE, weight=0.5)
+        assert out == PhotonMode(OMEGA, (0.0, 0.6, 0.8), 0.5)
+        with pytest.raises(ValueError, match="^mode weight must be finite and nonnegative$"):
+            dataclasses.replace(self.MODE, weight=-1.0)
+
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy,
+                                       copy.copy])
+    def test_copies_round_trip(self, clone):
+        out = clone(self.MODE)
+        assert out == self.MODE and repr(out) == repr(self.MODE)
+        assert type(out.direction) is tuple
+
+    def test_stored_types(self):
+        mode = PhotonMode(2, (np.float64(0.0), 0, np.float64(1.0)), 3)
+        assert type(mode.omega) is int and mode.omega == 2
+        assert type(mode.weight) is int and mode.weight == 3
+        assert mode.direction == (0.0, 0.0, 1.0)
+        assert [type(c) for c in mode.direction] == [float, float, float]
+
+    @pytest.mark.parametrize("direction", [(0.0, 1.0), (0.0, 0.0, 1.0, 0.0)])
+    def test_direction_must_have_three_components(self, direction):
+        with pytest.raises(ValueError):
+            PhotonMode(OMEGA, direction)
+
+    @pytest.mark.parametrize("args, message", [
+        ((OMEGA, math.nan), "direction must be a unit vector (|n| = nan)"),
+        ((math.nan, 0.3), "mode frequency must be finite and positive"),
+        ((math.inf, 0.3), "mode frequency must be finite and positive"),
+        ((-OMEGA, 0.3), "mode frequency must be finite and positive"),
+        ((0.0, 0.3), "mode frequency must be finite and positive"),
+        ((OMEGA, 0.3, 0.0, math.nan), "mode weight must be finite and nonnegative"),
+        ((OMEGA, 0.3, 0.0, math.inf), "mode weight must be finite and nonnegative"),
+        ((OMEGA, 0.3, 0.0, -1.0), "mode weight must be finite and nonnegative"),
+        ((math.nan, math.nan, 0.0, -1.0), "mode frequency must be finite and positive"),
+        ((OMEGA, math.nan, 0.0, -1.0), "mode weight must be finite and nonnegative"),
+    ])
+    def test_from_angles_error_messages(self, args, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            PhotonMode.from_angles(*args)
+
+
+class TestPhotonModeBuiltOnce:
+    """Each mode is validated and stored by one __init__: no instance dict
+    to fill and no __post_init__ pass after it."""
+
+    def test_no_instance_dict(self):
+        mode = PhotonMode.from_angles(OMEGA, 0.3)
+        assert not hasattr(mode, "__dict__")
+        assert PhotonMode.__slots__ == ("omega", "direction", "weight")
+
+    def test_no_post_init(self):
+        assert not hasattr(PhotonMode, "__post_init__")

@@ -144,6 +144,40 @@ def test_large_rng_ensemble_matches_scalar_formulas():
     assert bits([pairwise_invariant_mass(PhotonEnsemble(head))]) == bits([ref_pairwise(head)])
 
 
+def ref_pack(modes):
+    """The list the ensemble arrays were first packed from: omegas, weights,
+    then the directions, in one np.array call."""
+    n = len(modes)
+    a = np.array([m.omega for m in modes] + [m.weight for m in modes]
+                 + [c for m in modes for c in m.direction], dtype=float)
+    return a[:n], a[2 * n:].reshape(n, 3), a[n:2 * n]
+
+
+def mixed_modes(n, seed=7):
+    """n modes whose omega and weight cycle through int, float and np.float64."""
+    rng = np.random.default_rng(seed)
+    us, thetas, phis, ws = (rng.uniform(lo, hi, n).tolist() for lo, hi in
+                            [(0.5, 2.0), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 5.0)])
+    modes = []
+    for i, (u, theta, phi, w) in enumerate(zip(us, thetas, phis, ws)):
+        kind = (round, float, np.float64)[i % 3]
+        modes.append(PhotonMode.from_angles(kind(OMEGA * u), theta, phi, kind(w)))
+    return modes
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10_000])
+def test_pack_matches_the_list_reference(n):
+    modes = mixed_modes(n)
+    omega, direction, weight = ref_pack(modes)
+    for ens in (PhotonEnsemble(modes), PhotonEnsemble(m for m in modes)):
+        assert ens.n.shape == (n, 3)
+        assert bits(ens.omega) == bits(omega)
+        assert bits(ens.n.ravel()) == bits(direction.ravel())
+        assert bits(ens.weight) == bits(weight)
+        for a in (ens.omega, ens.n, ens.weight):
+            assert a.dtype == np.float64 and not a.flags.writeable
+
+
 class TestEdges:
     def test_modes_round_trip(self):
         modes = [PhotonMode.from_angles(OMEGA * (1 + i), 0.3 * i, 0.7 * i, 0.5 * i)
