@@ -7,15 +7,14 @@ _OWNER = {name: module for module, names in (
     ("constants", "C HBAR"),
     ("pulse", "GaussianPulseParams QuadratureError validity_ratio"),
     ("kinematics", "BoostFrame FourMomentum PhotonEnsemble PhotonMode boost_ensemble "
-                   "collinear_energy_deficit ensemble_velocity invariant_mass "
-                   "pairwise_invariant_mass rest_frame total_four_momentum"),
+                   "ensemble_velocity invariant_mass rest_frame total_four_momentum"),
     ("spectral", "EnergyMomentum ForwardClipWarning SpectralDensity energy_momentum_deficit "
                  "field_profile gaussian_spectral_density integrate_observables "
                  "pulse_mass_quadrature"),
     ("analytic", "ParaxialError ParaxialWarning PulseSummary mass_from_energy "
                  "mass_from_photon_number pulse_energy summarize w_limit_scaling"),
     ("density", "FieldSample mass_density mass_density_array mass_density_invariant_form"),
-    ("experiment", "DelayReport ExperimentConfig GeometryWarning channel_delay focus_kperp "
+    ("experiment", "DelayReport ExperimentConfig GeometryWarning channel_delay "
                    "kperp_ratio_to_mass mass_kperp_correspondence spdc_speed"),
     ("units", "convert_units"),
 ) for name in names.split()}

@@ -86,16 +86,10 @@ def kperp_ratio_to_mass(ratio: float, energy: float) -> float:
     return energy * math.sqrt(ratio) / (C * C)
 
 
-def focus_kperp(config: ExperimentConfig) -> float:
-    """Transverse wave vector gained in the focal region, (w_half/f)|k|, 1/cm."""
-    k = 2.0 * math.pi / config.source.wavelength
-    return config.w_half / config.f * k
-
-
 def channel_delay(config: ExperimentConfig) -> DelayReport:
     """Speed, spatial delay and invariant mass inside the 2f region.
 
-    <k_perp^2> of the focused Gaussian beam equals focus_kperp^2, so
+    The focused Gaussian beam has <k_perp^2> = (w_half/f)^2 |k|^2, so
     v = c[1 - (w_half/f)^2/2] and delta_l = 2f(1 - v/c) = w_half^2/f.
     The separation flag uses the Gaussian 1/e half-duration tau (the FWHM
     alternative would be 2*sqrt(ln 2)*tau).

@@ -7,6 +7,7 @@ propagation axis of every pulse considered here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -19,19 +20,29 @@ from .pulse import _squared
 # indicates a bug upstream, not numerical noise, so beyond this we raise.
 SPACELIKE_TOL = 1e-9
 
+# rest_frame takes a deficit within a few ulps of e/c for rounding, not mass
+_NULL_DEFICIT = 4.0 * 2.0**-52
+
 _UNIT_TOL = 1e-12
+
+_FLOAT_MAX = sys.float_info.max  # an int past it cannot become a float
 
 _set = object.__setattr__  # the one way past a frozen dataclass's guard
 
 
 @dataclass(frozen=True)
 class FourMomentum:
-    """A four-momentum (e/c, px, py, pz); all components in g*cm/s."""
+    """A four-momentum (e/c, px, py, pz) and its deficit e/c - |p|; all in g*cm/s.
+
+    A hand-built momentum's deficit defaults to e/c - |p| from its components;
+    total_four_momentum sums it per mode, so it does not cancel.
+    """
 
     e_over_c: float
     px: float
     py: float
     pz: float
+    deficit: float | None = None
 
     def __post_init__(self):
         what = "the four-momentum is out of floating-point range"
@@ -47,6 +58,8 @@ class FourMomentum:
             raise ValueError("four-momentum energy must be nonnegative")
         if not gap >= -SPACELIKE_TOL * e2:
             raise ValueError("spacelike four-momentum: corrupted ensemble")
+        if self.deficit is None:
+            _set(self, "deficit", self.e_over_c - math.sqrt(p2))
 
     @property
     def p_abs(self) -> float:  # the squares are in range: __post_init__ took them
@@ -68,9 +81,9 @@ class PhotonMode:
     def __init__(self, omega: float, direction: tuple[float, float, float],
                  weight: float = 1.0) -> None:
         # written so that NaN fails every check
-        if not 0.0 < omega < math.inf:
+        if not 0.0 < omega <= _FLOAT_MAX:
             raise ValueError("mode frequency must be finite and positive")
-        if not 0.0 <= weight < math.inf:
+        if not 0.0 <= weight <= _FLOAT_MAX:
             raise ValueError("mode weight must be finite and nonnegative")
         nx, ny, nz = direction
         norm = math.sqrt(nx * nx + ny * ny + nz * nz)
@@ -139,54 +152,30 @@ def _energies(ensemble: PhotonEnsemble) -> np.ndarray:
 
 
 def total_four_momentum(ensemble: PhotonEnsemble) -> FourMomentum:
-    """Weighted component-wise sum of hbar*omega/c * (1, n) over all modes."""
+    """Weighted component-wise sum of hbar*omega/c * (1, n) over all modes,
+    with the deficit e/c - |p| = sum k |n - u|^2/2 about the total-momentum
+    axis u (z when p = 0): every term is >= 0, and an error in u enters it
+    at second order only."""
     k = _energies(ensemble) / C
     e = math.fsum(k.tolist())
     if not math.isfinite(e):  # the p sums would call inf - inf a ValueError
         raise FloatingPointError("non-finite photon momentum weight*hbar*omega/c")
-    return FourMomentum(e, *map(math.fsum, (ensemble.n.T * k).tolist()))
-
-
-def _mass_squared(p: FourMomentum) -> float:
-    pa = p.p_abs
-    return (p.e_over_c - pa) * (p.e_over_c + pa)
+    px, py, pz = map(math.fsum, (ensemble.n.T * k).tolist())
+    p_abs = math.hypot(px, py, pz)
+    d = ensemble.n - ([px / p_abs, py / p_abs, pz / p_abs] if p_abs else [0.0, 0.0, 1.0])
+    d *= d
+    return FourMomentum(e, px, py, pz, 0.5 * sum(np.dot(k, d).tolist()))
 
 
 def invariant_mass(p: FourMomentum) -> float:
-    """Invariant mass in g from (e/c - |p|)(e/c + |p|).  Not cancellation-safe:
-    at opening angle theta the relative error is about 1e-16/theta^2 (total at
-    1e-8); collinear_energy_deficit and pairwise_invariant_mass stay exact."""
-    s = _mass_squared(p)
+    """Invariant mass in g, sqrt((e/c + |p|) * deficit)/c: the one mass
+    formula, for photon ensembles and the spectral oracle alike."""
+    s = (p.e_over_c + p.p_abs) * p.deficit
     if not math.isfinite(s):
         raise FloatingPointError(f"non-finite mass^2 {s!r} from four-momentum {p}")
     if not s >= -SPACELIKE_TOL * p.e_over_c**2:
         raise ValueError("spacelike four-momentum: corrupted ensemble")
     return math.sqrt(max(s, 0.0)) / C
-
-
-def pairwise_invariant_mass(ensemble: PhotonEnsemble) -> float:
-    """Mass in g from m^2 c^2 = sum_{i<j} 2 p_i . p_j (null diagonal), each
-    1 - n_i.n_j taken as |n_i - n_j|^2/2 so near-collinear pairs stay exact.
-    The pairs are summed row by row, in O(N) memory."""
-    k, n = _energies(ensemble) / C, ensemble.n
-
-    def row(i: int) -> list[float]:  # 2 p_i.p_j = p_i p_j |n_i - n_j|^2 for j > i
-        dx, dy, dz = (n[i] - n[i + 1:]).T
-        return (k[i] * k[i + 1:] * (dx * dx + dy * dy + dz * dz)).tolist()
-
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in floats
-        s = math.fsum(t for i in range(len(k)) for t in row(i))
-    return math.sqrt(max(s, 0.0)) / C
-
-
-def collinear_energy_deficit(ensemble: PhotonEnsemble) -> float:
-    """epsilon - c*p_z in erg, summed per mode as weight*hbar*omega*(1 - n_z)
-    with 1 - n_z = (n_x^2 + n_y^2)/(1 + n_z) for forward modes, so an
-    O(theta^2) deficit stays exact where two large totals would cancel."""
-    nx, ny, nz = ensemble.n.T
-    one_minus_nz = np.divide(nx * nx + ny * ny, 1.0 + nz, out=1.0 - nz, where=nz > 0.0)
-    with np.errstate(invalid="ignore"):  # an inf energy times 0 is NaN, as in floats
-        return math.fsum((_energies(ensemble) * one_minus_nz).tolist())
 
 
 def ensemble_velocity(p: FourMomentum) -> float:
@@ -219,7 +208,8 @@ def boost_ensemble(ensemble: PhotonEnsemble, frame: BoostFrame) -> PhotonEnsembl
 
 
 def rest_frame(p: FourMomentum) -> BoostFrame:
-    """Frame in which p_z vanishes; only massive momenta have one."""
-    if _mass_squared(p) <= SPACELIKE_TOL * p.e_over_c**2:
+    """Frame in which p_z vanishes; only massive momenta have one.  A deficit
+    of a few ulps of e/c is rounding, so such a momentum counts as null."""
+    if p.deficit <= _NULL_DEFICIT * p.e_over_c:
         raise ValueError("no rest frame for null momentum")
     return BoostFrame(p.pz / p.e_over_c)

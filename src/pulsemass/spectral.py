@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import C, HBAR
+from .kinematics import FourMomentum, invariant_mass
 from .pulse import GaussianPulseParams, QuadratureError, validity_ratio  # noqa: F401
 
 
@@ -195,10 +196,10 @@ def energy_momentum_deficit(density: SpectralDensity) -> float:
 
 
 def pulse_mass_quadrature(density: SpectralDensity) -> float:
-    """Invariant mass in g: m^2 c^4 = (eps + c p_z)(eps - c p_z), with the
-    second factor taken from the dedicated deficit integral."""
+    """Invariant mass in g by kinematics.invariant_mass, the one mass formula,
+    with the deficit epsilon - c*p_z from its own integral."""
     obs = integrate_observables(density)
-    return math.sqrt(max((obs.energy + C * obs.pz) * obs.deficit, 0.0)) / C**2
+    return invariant_mass(FourMomentum(obs.energy / C, 0.0, 0.0, obs.pz, obs.deficit / C))
 
 
 def _field_static(params: GaussianPulseParams, r_perp: float, window, n: int):

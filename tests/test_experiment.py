@@ -12,7 +12,6 @@ from pulsemass.experiment import (
     ExperimentConfig,
     GeometryWarning,
     channel_delay,
-    focus_kperp,
     kperp_ratio_to_mass,
     mass_kperp_correspondence,
     spdc_speed,
@@ -72,19 +71,6 @@ class TestCorrespondence:
         # the deficit itself only survives to ~C*eps/deficit after the
         # subtraction from C, hence the looser relative tolerance
         assert C - v == pytest.approx(s.speed_deficit, rel=1e-6, abs=0)
-
-
-class TestFocusKperp:
-    def test_plug_in(self):
-        got = focus_kperp(config())
-        assert got == pytest.approx(0.1 * 2 * math.pi * 1e4, rel=1e-12, abs=0)
-
-    def test_long_focal_length_limit(self):
-        assert focus_kperp(config(w_half=0.5, f=1e6)) < 1e-5 * focus_kperp(config())
-
-    def test_linear_in_inverse_f(self):
-        assert focus_kperp(config(f=5.0)) / focus_kperp(config(f=10.0)) == \
-            pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 class TestChannelDelay:

@@ -6,8 +6,11 @@ import math
 import pickle
 import re
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsemass.constants import C, HBAR
 from pulsemass.kinematics import (
@@ -16,15 +19,43 @@ from pulsemass.kinematics import (
     PhotonEnsemble,
     PhotonMode,
     boost_ensemble,
-    collinear_energy_deficit,
     ensemble_velocity,
     invariant_mass,
-    pairwise_invariant_mass,
     rest_frame,
     total_four_momentum,
 )
 
 OMEGA = 1.88e15  # ~1 um photon, rad/s
+
+
+def pairwise_mass(ens):
+    """Reference mass in g from m^2 c^2 = sum_{i<j} 2 p_i . p_j, each
+    1 - n_i.n_j taken as |n_i - n_j|^2/2: the scalar pairwise loop, O(N^2),
+    exact per pair and summed by fsum."""
+    ks = [w * HBAR * o / C for w, o in zip(ens.weight.tolist(), ens.omega.tolist())]
+    ns = ens.n.tolist()
+    terms = []
+    for i in range(len(ks)):
+        for j in range(i + 1, len(ks)):
+            dx, dy, dz = (a - b for a, b in zip(ns[i], ns[j]))
+            terms.append(ks[i] * ks[j] * (dx * dx + dy * dy + dz * dz))
+    return math.sqrt(math.fsum(terms)) / C
+
+
+def pairwise_mass_mp(ens):
+    """pairwise_mass in 60-digit mpmath arithmetic on the ensemble's floats."""
+    with mpmath.workdps(60):
+        hbar_over_c = mpmath.mpf(HBAR) / mpmath.mpf(C)
+        ks = [mpmath.mpf(w) * mpmath.mpf(o) * hbar_over_c
+              for w, o in zip(ens.weight.tolist(), ens.omega.tolist())]
+        ns = [[mpmath.mpf(x) for x in n] for n in ens.n.tolist()]
+        total = mpmath.mpf(0)
+        for i in range(len(ks)):
+            xi, yi, zi = ns[i]
+            for j in range(i + 1, len(ks)):
+                xj, yj, zj = ns[j]
+                total += ks[i] * ks[j] * ((xi - xj) ** 2 + (yi - yj) ** 2 + (zi - zj) ** 2)
+        return mpmath.sqrt(total) / mpmath.mpf(C)
 
 
 def symmetric_pair(theta, omega=OMEGA, weight=1.0):
@@ -100,31 +131,73 @@ class TestInvariantMass:
 
 
 class TestPairwiseMass:
+    """The one mass formula against the pairwise reference."""
+
     def test_two_photon_matches_closed_form(self):
         theta = math.radians(30.0)
-        m = pairwise_invariant_mass(symmetric_pair(theta))
-        assert m == pytest.approx(2 * HBAR * OMEGA / C**2 * math.sin(theta), rel=1e-12, abs=0)
+        ens = symmetric_pair(theta)
+        expected = 2 * HBAR * OMEGA / C**2 * math.sin(theta)
+        assert pairwise_mass(ens) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert invariant_mass(total_four_momentum(ens)) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_single_mode_zero(self):
         ens = PhotonEnsemble((PhotonMode(OMEGA, (0.0, 0.0, 1.0)),))
-        assert pairwise_invariant_mass(ens) == 0.0
+        assert total_four_momentum(ens).deficit == 0.0
+        assert invariant_mass(total_four_momentum(ens)) == 0.0
 
-    @pytest.mark.parametrize("theta", [1e-6, 1e-8])
+    @pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-8])
     def test_near_collinear_pair_is_exact(self, theta):
-        # 1 - cos(theta) rounds away here; the closed forms do not
+        # e/c - |p| cancels here; the deficit summed per mode does not
         ens = symmetric_pair(theta)
-        assert pairwise_invariant_mass(ens) == pytest.approx(
+        p = total_four_momentum(ens)
+        assert invariant_mass(p) == pytest.approx(
             2 * HBAR * OMEGA / C**2 * math.sin(theta), rel=1e-15, abs=0)
-        assert collinear_energy_deficit(ens) == pytest.approx(
+        assert p.deficit * C == pytest.approx(
             4 * HBAR * OMEGA * math.sin(theta / 2) ** 2, rel=1e-15, abs=0)
 
     def test_matches_total_form_on_random_ensembles(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             ens = random_ensemble(rng, int(rng.integers(2, 101)))
-            m_pair = pairwise_invariant_mass(ens)
+            m_pair = pairwise_mass(ens)
             m_total = invariant_mass(total_four_momentum(ens))
             assert m_pair == pytest.approx(m_total, rel=1e-12, abs=0)
+
+
+def rotated(axis_theta, axis_phi, theta, phi):
+    """Unit vector at polar angle theta, azimuth phi about the axis at
+    (axis_theta, axis_phi)."""
+    sa, ca = math.sin(axis_theta), math.cos(axis_theta)
+    sp, cp = math.sin(axis_phi), math.cos(axis_phi)
+    a = (sa * cp, sa * sp, ca)
+    b = (ca * cp, ca * sp, -sa)  # a, b, c orthonormal
+    c = (-sp, cp, 0.0)
+    s, co = math.sin(theta), math.cos(theta)
+    u, v = s * math.cos(phi), s * math.sin(phi)
+    return tuple(co * x + u * y + v * z for x, y, z in zip(a, b, c))
+
+
+@st.composite
+def cones(draw):
+    """2 to 50 modes in a cone of half-angle 1e-8..pi about a random axis,
+    their azimuths spread so that no two coincide."""
+    n = draw(st.integers(2, 50))
+    spread = 10.0 ** draw(st.floats(-8.0, math.log10(math.pi)))
+    axis = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+    modes = []
+    for i in range(n):
+        theta = spread * draw(st.floats(0.25, 1.0))
+        phi = 2.0 * math.pi * (i + draw(st.floats(0.0, 0.5))) / n
+        modes.append(PhotonMode(OMEGA * draw(st.floats(0.5, 2.0)), rotated(*axis, theta, phi),
+                                draw(st.floats(0.1, 10.0))))
+    return PhotonEnsemble(modes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cones())
+def test_mass_matches_mpmath_pairwise_down_to_1e_8(ens):
+    ref = pairwise_mass_mp(ens)
+    assert abs(invariant_mass(total_four_momentum(ens)) - ref) <= 1e-12 * ref
 
 
 class TestVelocity:
@@ -220,6 +293,30 @@ class TestRestFrame:
         with pytest.raises(ValueError, match="no rest frame"):
             rest_frame(p)
 
+    def test_null_sets_have_no_rest_frame(self):
+        # rounding leaves a few ulps of deficit on a null sum; that is not mass
+        rng = np.random.default_rng(5)
+        for size in (1, 3):
+            for _ in range(2000):
+                theta, phi = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
+                ens = PhotonEnsemble([PhotonMode.from_angles(OMEGA * u, theta, phi, w)
+                                      for u, w in zip(rng.uniform(0.5, 2.0, size).tolist(),
+                                                      rng.uniform(0.1, 10.0, size).tolist())])
+                with pytest.raises(ValueError, match="no rest frame"):
+                    rest_frame(total_four_momentum(ens))
+
+    @pytest.mark.parametrize("tilt", [0.0, 1.0])
+    def test_narrow_pair_has_a_rest_frame(self, tilt):
+        # a symmetric pair about an axis tilted from z: beta = cos(theta) cos(tilt)
+        def pair(theta):
+            return PhotonEnsemble([PhotonMode(OMEGA, rotated(tilt, 0.0, theta, phi))
+                                   for phi in (0.0, math.pi)])
+
+        frame = rest_frame(total_four_momentum(pair(1e-7)))
+        assert frame.beta == pytest.approx(math.cos(1e-7) * math.cos(tilt), rel=1e-15, abs=0)
+        with pytest.raises(ValueError, match="no rest frame"):  # beta = cos(theta) rounds to 1
+            rest_frame(total_four_momentum(pair(3e-8)))
+
     def test_rest_frame_contract_axisymmetric(self):
         # zero transverse momentum: boosting to the rest frame recovers
         # p_z' = 0 and epsilon' = m c^2
@@ -256,19 +353,30 @@ class TestInvariantsAndHelpers:
             assert p.e_over_c >= p.p_abs * (1.0 - 1e-12)
 
     def test_collinear_deficit_matches_subtraction(self):
+        # where nothing cancels, the summed deficit is e/c - |p|, the
+        # default of a four-momentum built from its components alone
         ens = symmetric_pair(0.4, weight=2.0)
         p = total_four_momentum(ens)
-        assert collinear_energy_deficit(ens) == pytest.approx(
-            (p.e_over_c - p.pz) * C, rel=1e-12, abs=0)
+        hand_built = FourMomentum(p.e_over_c, p.px, p.py, p.pz)
+        assert hand_built.deficit == p.e_over_c - p.p_abs
+        assert p.deficit == pytest.approx(hand_built.deficit, rel=1e-12, abs=0)
 
     def test_collinear_deficit_keeps_tiny_angles(self):
         # theta ~ 1e-5: relative deficit ~ 5e-11, still exact via per-mode sum;
         # 1 - cos(theta) itself would be off by ~1e-7 here
         theta = 1e-5
-        ens = symmetric_pair(theta)
-        deficit = collinear_energy_deficit(ens)
+        p = total_four_momentum(symmetric_pair(theta))
         expected = 2 * HBAR * OMEGA * 2 * math.sin(theta / 2) ** 2
-        assert deficit == pytest.approx(expected, rel=1e-12, abs=0)
+        assert p.deficit * C == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_deficit_about_a_tilted_axis(self):
+        # the deficit is taken about the total momentum, not about z
+        theta, tilt = 1e-6, 1.0
+        ens = PhotonEnsemble([PhotonMode(OMEGA, rotated(tilt, 0.3, theta, phi))
+                              for phi in (0.0, math.pi)])
+        p = total_four_momentum(ens)
+        assert p.deficit * C == pytest.approx(
+            4 * HBAR * OMEGA * math.sin(theta / 2) ** 2, rel=1e-12, abs=0)
 
     def test_direction_must_be_unit(self):
         with pytest.raises(ValueError, match=r"^direction must be a unit vector \(\|n\| = 1\.1\)$"):
@@ -326,6 +434,7 @@ class TestInvariantsAndHelpers:
     def test_invariant_mass_rejects_non_finite(self):
         class Momentum:  # a duck-typed momentum that skipped validation
             e_over_c, p_abs = math.inf, math.inf
+            deficit = math.inf
         with pytest.raises(FloatingPointError, match="non-finite"):
             invariant_mass(Momentum())
 
@@ -380,6 +489,21 @@ class TestPhotonModeBehaviour:
         assert type(mode.weight) is int and mode.weight == 3
         assert mode.direction == (0.0, 0.0, 1.0)
         assert [type(c) for c in mode.direction] == [float, float, float]
+
+    @pytest.mark.parametrize("args, message", [
+        ((10**400, (0.0, 0.0, 1.0)), "mode frequency must be finite and positive"),
+        ((OMEGA, (0.0, 0.0, 1.0), 10**400), "mode weight must be finite and nonnegative"),
+    ])
+    def test_int_past_float_range_rejected(self, args, message):
+        # such an int passed a comparison with inf, then failed to pack
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            PhotonMode(*args)
+
+    def test_large_int_in_float_range_stored_as_given(self):
+        mode = PhotonMode(10**300, (0.0, 0.0, 1.0), 10**300)
+        assert type(mode.omega) is int and mode.omega == 10**300
+        assert type(mode.weight) is int and mode.weight == 10**300
+        assert PhotonEnsemble((mode,)).omega.tolist() == [1e300]
 
     @pytest.mark.parametrize("direction", [(0.0, 1.0), (0.0, 0.0, 1.0, 0.0)])
     def test_direction_must_have_three_components(self, direction):

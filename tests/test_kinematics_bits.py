@@ -20,8 +20,6 @@ from pulsemass.kinematics import (
     PhotonEnsemble,
     PhotonMode,
     boost_ensemble,
-    collinear_energy_deficit,
-    pairwise_invariant_mass,
     total_four_momentum,
 )
 
@@ -37,29 +35,6 @@ def ref_total(modes):
     py = math.fsum(k * m.direction[1] for k, m in zip(ks, modes))
     pz = math.fsum(k * m.direction[2] for k, m in zip(ks, modes))
     return FourMomentum(e, px, py, pz)
-
-
-def ref_pairwise(modes):
-    terms = []
-    for i in range(len(modes)):
-        mi = modes[i]
-        pi = mi.weight * HBAR * mi.omega / C
-        for j in range(i + 1, len(modes)):
-            mj = modes[j]
-            pj = mj.weight * HBAR * mj.omega / C
-            dx, dy, dz = (a - b for a, b in zip(mi.direction, mj.direction))
-            terms.append(pi * pj * (dx * dx + dy * dy + dz * dz))
-    return math.sqrt(max(math.fsum(terms), 0.0)) / C
-
-
-def ref_one_minus_nz(n):
-    nx, ny, nz = n
-    return (nx * nx + ny * ny) / (1.0 + nz) if nz > 0.0 else 1.0 - nz
-
-
-def ref_deficit(modes):
-    return math.fsum(m.weight * HBAR * m.omega * ref_one_minus_nz(m.direction)
-                     for m in modes)
 
 
 def ref_boost(mode, frame):
@@ -86,14 +61,12 @@ def assert_same_bits(modes, beta):
     ens = PhotonEnsemble(modes)
     p, ref = total_four_momentum(ens), ref_total(modes)
     assert bits((p.e_over_c, p.px, p.py, p.pz)) == bits((ref.e_over_c, ref.px, ref.py, ref.pz))
-    assert bits([collinear_energy_deficit(ens)]) == bits([ref_deficit(modes)])
     frame = BoostFrame(beta)
     boosted = boost_ensemble(ens, frame)
     expected = [ref_boost(m, frame) for m in modes]
     assert bits(boosted.omega) == bits(m.omega for m in expected)
     assert bits(boosted.n.ravel()) == bits(x for m in expected for x in m.direction)
     assert bits(boosted.weight) == bits(m.weight for m in expected)
-    return ens
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -127,8 +100,7 @@ betas = st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True)
 @settings(max_examples=300, deadline=None)
 @given(ensembles(), betas)
 def test_array_kinematics_match_scalar_formulas(modes, beta):
-    ens = assert_same_bits(modes, beta)
-    assert bits([pairwise_invariant_mass(ens)]) == bits([ref_pairwise(modes)])
+    assert_same_bits(modes, beta)
 
 
 def test_large_rng_ensemble_matches_scalar_formulas():
@@ -138,10 +110,6 @@ def test_large_rng_ensemble_matches_scalar_formulas():
         rng.uniform(0.5, 2.0, n).tolist(), rng.uniform(0.0, math.pi, n).tolist(),
         rng.uniform(0.0, 2 * math.pi, n).tolist(), rng.uniform(0.0, 5.0, n).tolist())]
     assert_same_bits(modes, 0.37)
-    # the scalar pairwise reference is O(N^2) Python; its first 500 modes
-    # already hold 124 750 pairs
-    head = modes[:500]
-    assert bits([pairwise_invariant_mass(PhotonEnsemble(head))]) == bits([ref_pairwise(head)])
 
 
 def ref_pack(modes):
@@ -200,9 +168,8 @@ class TestEdges:
     def test_empty_ensemble(self):
         ens = PhotonEnsemble(())
         assert len(ens.modes) == 0 and ens.n.shape == (0, 3)
-        for fn in (total_four_momentum, collinear_energy_deficit, pairwise_invariant_mass):
-            with pytest.raises(ValueError, match="empty ensemble"):
-                fn(ens)
+        with pytest.raises(ValueError, match="empty ensemble"):
+            total_four_momentum(ens)
         assert len(boost_ensemble(ens, BoostFrame(0.5)).modes) == 0
 
     def test_boost_past_float_range_is_the_mode_error(self):
@@ -221,11 +188,15 @@ class TestEdges:
                 boost_ensemble(ens, BoostFrame(0.5))
 
     def test_backward_mode_deficit_is_two_hbar_omega(self):
+        # a head-on pair has p = 0, so the deficit is taken about z: the
+        # backward mode carries 2 hbar omega/c of it, the forward mode none
         ens = PhotonEnsemble((PhotonMode(OMEGA, (0.0, 0.0, -1.0)),
-                              PhotonMode(OMEGA, (0.0, 0.0, 1.0), 0.0)))
+                              PhotonMode(OMEGA, (0.0, 0.0, 1.0))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert collinear_energy_deficit(ens) == 2.0 * HBAR * OMEGA
+            p = total_four_momentum(ens)
+        assert (p.px, p.py, p.pz) == (0.0, 0.0, 0.0)
+        assert p.deficit == p.e_over_c == 2.0 * (HBAR * OMEGA / C)
 
     def test_overflowing_momenta_warn_nothing(self):
         ens = PhotonEnsemble((PhotonMode(1e308, (0.0, 0.0, 1.0), 1e308),
@@ -234,5 +205,3 @@ class TestEdges:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="non-finite"):
                 total_four_momentum(ens)
-            assert math.isnan(collinear_energy_deficit(ens))
-            assert pairwise_invariant_mass(ens) == math.inf

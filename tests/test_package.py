@@ -15,8 +15,7 @@ from pulsemass import spectral
 EXPORTS = {
     "constants": ["C", "HBAR"],
     "kinematics": ["BoostFrame", "FourMomentum", "PhotonEnsemble", "PhotonMode",
-                   "boost_ensemble", "collinear_energy_deficit", "ensemble_velocity",
-                   "invariant_mass", "pairwise_invariant_mass", "rest_frame",
+                   "boost_ensemble", "ensemble_velocity", "invariant_mass", "rest_frame",
                    "total_four_momentum"],
     "spectral": ["EnergyMomentum", "ForwardClipWarning", "GaussianPulseParams",
                  "QuadratureError", "SpectralDensity", "energy_momentum_deficit",
@@ -27,8 +26,7 @@ EXPORTS = {
     "density": ["FieldSample", "mass_density", "mass_density_array",
                 "mass_density_invariant_form"],
     "experiment": ["DelayReport", "ExperimentConfig", "GeometryWarning", "channel_delay",
-                   "focus_kperp", "kperp_ratio_to_mass", "mass_kperp_correspondence",
-                   "spdc_speed"],
+                   "kperp_ratio_to_mass", "mass_kperp_correspondence", "spdc_speed"],
     "units": ["convert_units"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]

@@ -11,6 +11,13 @@ from scipy.integrate import dblquad
 
 from pulsemass import spectral
 from pulsemass.constants import C, HBAR
+from pulsemass.kinematics import (
+    FourMomentum,
+    PhotonEnsemble,
+    PhotonMode,
+    invariant_mass,
+    total_four_momentum,
+)
 from pulsemass.spectral import (
     ForwardClipWarning,
     GaussianPulseParams,
@@ -175,6 +182,24 @@ class TestMassQuadrature:
         m = pulse_mass_quadrature(d)
         sub = obs.energy**2 - (C * obs.pz) ** 2
         assert sub == pytest.approx((m * C**2) ** 2, rel=1e-9, abs=0)
+
+
+class TestPulseAsPhotonEnsemble:
+    """The oracle's nodes are a weighted photon ensemble: its mass, by the
+    one mass formula, is the quadrature mass."""
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.3])
+    def test_node_ensemble_mass_is_the_quadrature_mass(self, ratio):
+        d = gaussian_spectral_density(params_for(ratio, ratio))
+        kp, kz, k, _, wp, wz = spectral._nodes(d.kz_min, d.kz_max, d.kperp_max, 128)
+        # each node at azimuth 0 and pi, with half of its 2 pi k_perp rho wp wz photons
+        half = (math.pi * kp * d.amplitude(kp, kz) * np.outer(wp, wz)).ravel().tolist()
+        modes = []
+        for p, z, norm, w in zip(kp.ravel().tolist(), kz.ravel().tolist(),
+                                 k.ravel().tolist(), half):
+            modes += [PhotonMode(C * norm, (s * p / norm, 0.0, z / norm), w) for s in (1.0, -1.0)]
+        m = invariant_mass(total_four_momentum(PhotonEnsemble(modes)))
+        assert m == pytest.approx(pulse_mass_quadrature(d), rel=1e-12, abs=0)
 
 
 class TestFieldAt:
@@ -360,8 +385,8 @@ class TestQuadratureEngine:
         d = gaussian_spectral_density(params_for(1e-2, 1e-2))
         obs = integrate_observables(d)
         assert obs.deficit == energy_momentum_deficit(d)
-        assert pulse_mass_quadrature(d) == math.sqrt(
-            (obs.energy + C * obs.pz) * obs.deficit) / C**2
+        assert pulse_mass_quadrature(d) == invariant_mass(
+            FourMomentum(obs.energy / C, 0.0, 0.0, obs.pz, obs.deficit / C))
 
     def test_node_limit_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_QUAD_MAX_N", 16)
