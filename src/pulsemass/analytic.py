@@ -71,6 +71,9 @@ def speed_deficit(mass: float, energy: float) -> float:
         dv = C * (mass * C * C) ** 2 / (2.0 * energy * energy)
     except OverflowError:
         dv = math.inf
+    except ZeroDivisionError:
+        raise FloatingPointError(f"mass = {mass:.6g} g, energy = {energy:.6g} erg: energy^2 "
+                                 "underflows, so c - v = c (m c^2)^2/(2 energy^2) is undefined") from None
     if not (dv < math.inf and energy * energy < math.inf):
         raise OverflowError(f"mass = {mass:.6g} g, energy = {energy:.6g} erg: "
                             "c - v = c (m c^2)^2/(2 energy^2) overflows")

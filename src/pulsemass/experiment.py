@@ -100,7 +100,11 @@ def channel_delay(config: ExperimentConfig) -> DelayReport:
     delta_l = 2.0 * config.f * half_deficit
     energy = pulse_energy(config.source)
     lam = config.source.wavelength
-    f_over_ld = config.f * lam / (2.0 * math.pi * config.w_half**2)
+    try:
+        f_over_ld = config.f * lam / (2.0 * math.pi * config.w_half**2)
+    except ZeroDivisionError:
+        raise FloatingPointError(f"w_half = {config.w_half:.6g} cm: w_half^2 underflows, "
+                                 "so f/L_D = f lambda/(2 pi w_half^2) is undefined") from None
     if f_over_ld >= 0.1:
         warnings.warn(f"f/L_D = {f_over_ld:.3g}: focusing gain not dominant "
                       "over intrinsic diffraction", GeometryWarning)

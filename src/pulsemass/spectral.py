@@ -136,12 +136,13 @@ def _grid(a: float, b: float, n: int):
 def _nodes(kz_min: float, kz_max: float, kperp_max: float, n: int):
     """Gauss-Legendre tensor nodes KP, KZ (n x n, k_perp first) over the
     window, |k|, the dispersion deficit omega_k - c*k_z in its exact,
-    cancellation-free form c*k_perp^2/(|k| + k_z), and the axis weights wp, wz."""
+    cancellation-free form c*k_perp^2/(|k| + k_z), and d3k, each node's share
+    of d^3k = 2 pi k_perp dk_perp dk_z: the one home of the measure."""
     kz, wz = _grid(kz_min, kz_max, n)
     kp, wp = _grid(0.0, kperp_max, n)
     KP, KZ = np.meshgrid(kp, kz, indexing="ij")
     K = np.hypot(KZ, KP)
-    return KP, KZ, K, C * KP * KP / (K + KZ), wp, wz
+    return KP, KZ, K, C * KP * KP / (K + KZ), np.outer(2.0 * math.pi * kp * wp, wz)
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -167,23 +168,22 @@ def integrate_observables(density: SpectralDensity) -> EnergyMomentum:
     """Energy, z-momentum, photon number and the deficit epsilon - c*p_z by
     one adaptive k-space quadrature.
 
-    d^3k = 2 pi k_perp dk_perp dk_z under azimuthal symmetry; the transverse
-    momentum components vanish identically and are never computed.  The
-    deficit integrand omega_k - c*k_z is _nodes' cancellation-free deficit.
+    The transverse momentum components vanish identically by azimuthal
+    symmetry and are never computed.  The deficit integrand omega_k - c*k_z
+    is _nodes' cancellation-free deficit.
     """
     def estimate(n):
-        KP, KZ, k, deficit, wp, wz = _nodes(density.kz_min, density.kz_max, density.kperp_max, n)
-        rho = density.amplitude(KP, KZ)
-        base = 2.0 * math.pi * KP * rho
+        KP, KZ, k, deficit, d3k = _nodes(density.kz_min, density.kz_max, density.kperp_max, n)
+        photons = density.amplitude(KP, KZ) * d3k
 
         def total(integrand):
             # fixed contraction order keeps the result deterministic per level
-            return np.einsum("ij,i,j->", integrand, wp, wz)
+            return np.einsum("ij,ij->", integrand, photons)
 
         # each integrand is contracted as soon as it is built, so only one
         # is held at a time
-        return np.array([total(HBAR * (C * k) * base), total(HBAR * KZ * base),
-                         total(base), total(2.0 * math.pi * KP * HBAR * deficit * rho)])
+        return np.array([total(HBAR * (C * k)), total(HBAR * KZ), photons.sum(),
+                         total(HBAR * deficit)])
 
     totals = _refine(estimate, _QUAD_BASE_N, _QUAD_MAX_N,
                      _QUAD_REL_TOL, _QUAD_REL_TOL * np.finfo(float).tiny)
@@ -202,42 +202,12 @@ def pulse_mass_quadrature(density: SpectralDensity) -> float:
     return invariant_mass(FourMomentum(obs.energy / C, 0.0, 0.0, obs.pz, obs.deficit / C))
 
 
-def _field_static(params: GaussianPulseParams, r_perp: float, window, n: int):
-    """Boundary-field integrand on n x n Gauss-Legendre nodes over window,
-    flattened: the time-independent amplitude times the weights and the
-    prefactor tau/sqrt(2 pi), k_z, and the dispersion deficit omega_k - c*k_z
-    from _nodes."""
-    # imported here so that only field reconstruction pays for scipy
-    from scipy.special import j0
-
-    KP, KZ, _, deficit, wp, wz = _nodes(*window, n)
-    static = KP * j0(KP * r_perp) * _amplitude(params, KP, KZ)
-    static *= np.outer(wp, wz) * (params.tau / math.sqrt(2.0 * math.pi))
-    return static.ravel(), KZ.ravel(), deficit.ravel()
-
-
-def _field_sum(level, z: float, times: np.ndarray) -> np.ndarray:
-    """The boundary-field integral at each time on one _field_static level.
-
-    The phase omega*t - k_z*z is taken as (omega - c k_z) t + k_z (c t - z),
-    whose spread over the nodes stays small near the pulse, t ~ z/c, out to
-    the Rayleigh range; times go in chunks of at most _FIELD_CHUNK phases.
-    """
-    static, kz, deficit = level
-    out = np.empty(len(times))
-    step = max(1, _FIELD_CHUNK // len(static))
-    for i in range(0, len(times), step):
-        t = times[i:i + step, None]
-        phase = t * deficit + (C * t - z) * kz
-        out[i:i + step] = np.sin(phase, out=phase) @ static
-    return out
-
-
 def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
                   times: np.ndarray) -> np.ndarray:
     """Scalar field strength (statvolt/cm) at (r_perp, z) and each of the
-    times, z >= 0: the forward-propagating k-integral on Gauss-Legendre
-    nodes, one node count for all times.
+    times, z >= 0: the forward-propagating k-integral of
+    j0(k_perp r_perp) a(k) sin(omega t - k_z z) tau/(2 pi sqrt(2 pi)) d^3k on
+    Gauss-Legendre nodes, one node count for all times.
 
     Starting from _FIELD_BASE_N nodes per axis, the count doubles until two
     successive levels agree to _FIELD_ABS_TOL * e0 at every time, up to
@@ -250,10 +220,27 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
+    # imported here so that only field reconstruction pays for scipy
+    from scipy.special import j0
     window = _window(params)
 
     def estimate(n):
-        return _field_sum(_field_static(params, r_perp, window, n), z, times)
+        KP, KZ, _, deficit, d3k = _nodes(*window, n)
+        static = (j0(KP * r_perp) * _amplitude(params, KP, KZ) * d3k).ravel()
+        static *= params.tau / (2.0 * math.pi) ** 1.5
+        kz, deficit = KZ.ravel(), deficit.ravel()
+        # the phase omega*t - k_z*z as (omega - c k_z) t + k_z (c t - z), whose
+        # spread over the nodes stays small near the pulse, t ~ z/c, out to
+        # the Rayleigh range; times go in chunks of at most _FIELD_CHUNK phases,
+        # each time contracted on its own so that its bits do not depend on
+        # the chunk it falls in (a matrix-vector product's do)
+        out = np.empty(len(times))
+        step = max(1, _FIELD_CHUNK // len(static))
+        for i in range(0, len(times), step):
+            t = times[i:i + step, None]
+            phase = t * deficit + (C * t - z) * kz
+            out[i:i + step] = [row @ static for row in np.sin(phase, out=phase)]
+        return out
 
     try:
         return _refine(estimate, _FIELD_BASE_N, _FIELD_MAX_N,

@@ -477,6 +477,34 @@ class TestNonFinite:
         assert len(err.splitlines()) == 1
         assert err.startswith("numerical error: FloatingPointError:")
 
+    TINY_E0 = {"e0": 1e-130, "tau": 1e-12, "w": 1.0, "lambda": 1e-4}
+
+    @pytest.mark.parametrize("command, payload", [
+        ("speed", TINY_E0),
+        ("mass-pulse", TINY_E0),
+        ("sweep", {"parameter": "w", "values": [1.0, 2.0], "mode": "fixed_N", "pulse": TINY_E0}),
+    ])
+    def test_underflowing_energy_squared_is_named(self, tmp_path, capsys, command, payload):
+        # the energy is ~7e-263 erg, its square is below the smallest double
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert (code, out) == (3, "")
+        assert err == ("numerical error: FloatingPointError: mass = 1.17621e-288 g, "
+                       "energy = 6.6421e-263 erg: energy^2 underflows, "
+                       "so c - v = c (m c^2)^2/(2 energy^2) is undefined\n")
+
+    @pytest.mark.parametrize("command, payload", [
+        ("delay", {"w_half": 1e-170, "f": 1e-169, "source": PULSE_CGS}),
+        ("sweep", {"parameter": "w_half", "values": [1e-170],
+                   "delay": {"f": 1e-169, "source": PULSE_CGS}}),
+    ])
+    def test_underflowing_w_half_squared_is_named(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert (code, out) == (3, "")
+        assert err == ("numerical error: FloatingPointError: w_half = 1e-170 cm: w_half^2 "
+                       "underflows, so f/L_D = f lambda/(2 pi w_half^2) is undefined\n")
+
 
 class TestWarnings:
     def test_geometry_warning_is_one_line(self, tmp_path, capsys):

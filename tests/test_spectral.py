@@ -191,9 +191,9 @@ class TestPulseAsPhotonEnsemble:
     @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.3])
     def test_node_ensemble_mass_is_the_quadrature_mass(self, ratio):
         d = gaussian_spectral_density(params_for(ratio, ratio))
-        kp, kz, k, _, wp, wz = spectral._nodes(d.kz_min, d.kz_max, d.kperp_max, 128)
-        # each node at azimuth 0 and pi, with half of its 2 pi k_perp rho wp wz photons
-        half = (math.pi * kp * d.amplitude(kp, kz) * np.outer(wp, wz)).ravel().tolist()
+        kp, kz, k, _, d3k = spectral._nodes(d.kz_min, d.kz_max, d.kperp_max, 128)
+        # each node at azimuth 0 and pi, with half of its rho d3k photons
+        half = (0.5 * d.amplitude(kp, kz) * d3k).ravel().tolist()
         modes = []
         for p, z, norm, w in zip(kp.ravel().tolist(), kz.ravel().tolist(),
                                  k.ravel().tolist(), half):
@@ -453,9 +453,55 @@ class TestRefineFailsAtOnce:
 class TestNodes:
     def test_deficit_is_exact_near_the_axis(self):
         # k_perp/k_z down to ~1e-9: c(|k| - k_z) would lose every digit
-        KP, KZ, _, deficit, _, _ = spectral._nodes(6e4, 7e4, 6e-5, 4)
+        KP, KZ, _, deficit, _ = spectral._nodes(6e4, 7e4, 6e-5, 4)
         with mpmath.workdps(50):
             for kp, kz, got in zip(KP.ravel(), KZ.ravel(), deficit.ravel()):
                 kp, kz = mpmath.mpf(float(kp)), mpmath.mpf(float(kz))
                 exact = mpmath.mpf(C) * (mpmath.sqrt(kz * kz + kp * kp) - kz)
                 assert abs(got - exact) <= 4e-16 * exact
+
+    @pytest.mark.parametrize("window", [(1.0, 2.0, 1.0), (6e4, 7e4, 6e-5), (1e-5, 3e5, 40.0)])
+    def test_d3k_integrates_the_window_exactly(self, window):
+        # 8 Gauss-Legendre nodes per axis are exact for these low-degree integrands
+        kz_min, kz_max, kperp_max = window
+        KP, KZ, _, _, d3k = spectral._nodes(*window, 8)
+        volume = math.pi * kperp_max**2 * (kz_max - kz_min)
+        assert d3k.sum() == pytest.approx(volume, rel=1e-14, abs=0)
+        assert (KZ * d3k).sum() == pytest.approx(volume * (kz_min + kz_max) / 2, rel=1e-14, abs=0)
+        assert (KP**2 * d3k).sum() == pytest.approx(volume * kperp_max**2 / 2, rel=1e-14, abs=0)
+
+    def test_drivers_take_the_measure_from_nodes_alone(self, monkeypatch):
+        p = params_for(1e-2, 1e-2)
+        d = gaussian_spectral_density(p)
+        times = np.linspace(-1.5 * p.tau, 1.5 * p.tau, 5)
+        obs = dataclasses.astuple(integrate_observables(d))
+        field = field_profile(p, 0.5 * p.w, 0.0, times)
+        nodes = spectral._nodes
+
+        def doubled_measure(*args):
+            *rest, d3k = nodes(*args)
+            return (*rest, 2.0 * d3k)
+
+        monkeypatch.setattr(spectral, "_nodes", doubled_measure)
+        assert dataclasses.astuple(integrate_observables(d)) == tuple(2.0 * x for x in obs)
+        assert np.array_equal(field_profile(p, 0.5 * p.w, 0.0, times), 2.0 * field)
+
+
+class TestFieldChunks:
+    def test_chunked_times_are_bit_identical(self, monkeypatch):
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        times = np.linspace(-1.5 * p.tau, 1.5 * p.tau, 7)
+        whole = field_profile(p, 0.3, 0.0, times)
+        grid = spectral._grid
+        nodes = []
+
+        def counting_grid(a, b, n):
+            nodes.append(n)
+            return grid(a, b, n)
+
+        monkeypatch.setattr(spectral, "_grid", counting_grid)
+        monkeypatch.setattr(spectral, "_FIELD_CHUNK", 2 * 64 * 64)
+        chunked = field_profile(p, 0.3, 0.0, times)
+        # the last level has 64^2 nodes, so two times per chunk: four chunks
+        assert max(nodes) == 64
+        assert chunked.tobytes() == whole.tobytes()
