@@ -5,7 +5,7 @@ individual keys.  Scalar results go to stdout as JSON, grids and sweeps to
 CSV.  All library computation is Gaussian-CGS; in --units si mode every
 numeric input is converted exactly once at this boundary.  Warnings go to
 stderr, one ``warning: <Category>: <message>`` line each, never into data
-files.  numpy, scipy and csv load only in the commands that need them.
+files.  numpy and csv load only in the commands that need them.
 """
 from __future__ import annotations
 

@@ -20,6 +20,10 @@ from .pulse import _squared
 # indicates a bug upstream, not numerical noise, so beyond this we raise.
 SPACELIKE_TOL = 1e-9
 
+# invariant_mass rescales e/c below this; above it (e/c)^2 is >= 2^-512, so
+# the mass^2 underflows only for a deficit below ~2^-511 e/c
+_FAINT = 2.0**-256
+
 # rest_frame takes a deficit within a few ulps of e/c for rounding, not mass
 _NULL_DEFICIT = 4.0 * 2.0**-52
 
@@ -169,7 +173,14 @@ def total_four_momentum(ensemble: PhotonEnsemble) -> FourMomentum:
 
 def invariant_mass(p: FourMomentum) -> float:
     """Invariant mass in g, sqrt((e/c + |p|) * deficit)/c: the one mass
-    formula, for photon ensembles and the spectral oracle alike."""
+    formula, for photon ensembles and the spectral oracle alike.  A faint
+    momentum, e/c < _FAINT, is first scaled by an exact power of two to
+    e/c ~ 1 and its mass scaled back, so that neither |p|^2 nor the product
+    underflows; any other momentum keeps its bits."""
+    if 0.0 < p.e_over_c < _FAINT:
+        k = -math.frexp(p.e_over_c)[1]
+        scaled = (math.ldexp(v, k) for v in (p.e_over_c, p.px, p.py, p.pz, p.deficit))
+        return math.ldexp(invariant_mass(FourMomentum(*scaled)), -k)
     s = (p.e_over_c + p.p_abs) * p.deficit
     if not math.isfinite(s):
         raise FloatingPointError(f"non-finite mass^2 {s!r} from four-momentum {p}")

@@ -44,6 +44,49 @@ _FIELD_MAX_N = 512
 _FIELD_ABS_TOL = 1e-9
 _FIELD_CHUNK = 1 << 18
 
+# J0 below _J0_X by the midpoint rule on Bessel's integral
+# J0(x) = (1/pi) int_0^pi cos(x cos phi) dphi with _J0_M nodes: for this
+# periodic integrand the error is ~J_{2 _J0_M}(x) (Trefethen & Weideman, SIAM
+# Rev. 56, 2014), and 2 _J0_M >= x + 10 x^(1/3) + 30 makes it negligible.
+# From _J0_X on, Hankel's expansion (Abramowitz & Stegun 9.2.5, 9.2.9-10).
+_J0_X = 25.0
+_J0_M = math.ceil((_J0_X + 10.0 * _J0_X ** (1.0 / 3.0) + 30.0) / 2.0)
+_J0_COS = np.cos((np.arange(_J0_M) + 0.5) * (math.pi / _J0_M))
+
+
+def _hankel_series():
+    """P(x) = sum_j (-1)^j a_2j y^j and x Q(x) = sum_j (-1)^j a_(2j+1) y^j,
+    y = 1/x^2, as coefficient lists highest first, with a_0 = 1 and
+    a_k = -a_(k-1) (2k - 1)^2/(8k) up to the first a_k/_J0_X^k below 2^-60."""
+    a = [1.0]
+    while abs(a[-1]) >= 2.0**-60 * _J0_X ** (len(a) - 1):
+        k = len(a)
+        a.append(-a[-1] * (2 * k - 1) ** 2 / (8.0 * k))
+    signed = [c if k % 4 < 2 else -c for k, c in enumerate(a)]
+    return signed[0::2][::-1], signed[1::2][::-1]
+
+
+_J0_P, _J0_Q = _hankel_series()
+
+
+def _j0(x: np.ndarray) -> np.ndarray:
+    """Bessel J0 elementwise, within 6e-16 absolute; J0(-x) = J0(x).  Each value
+    depends on its own argument only, with at most _J0_M temporaries each."""
+    x = np.abs(x)
+    out = np.empty_like(x)
+    near = x < _J0_X
+    out[near] = np.cos(np.multiply.outer(x[near], _J0_COS)).mean(axis=-1)
+    if not near.all():
+        far = x[~near]
+        r = 1.0 / far
+        y = r * r  # underflows quietly for huge x, where only P = 1 is left
+        cos, sin = np.cos(far), np.sin(far)
+        # sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)) with the shift
+        # expanded, cos(x - pi/4) = (cos x + sin x)/sqrt(2), never subtracted
+        out[~near] = np.sqrt(r / math.pi) * (np.polyval(_J0_P, y) * (cos + sin)
+                                             + np.polyval(_J0_Q, y) * r * (cos - sin))
+    return out
+
 
 @dataclass(frozen=True)
 class SpectralDensity:
@@ -206,8 +249,9 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
                   times: np.ndarray) -> np.ndarray:
     """Scalar field strength (statvolt/cm) at (r_perp, z) and each of the
     times, z >= 0: the forward-propagating k-integral of
-    j0(k_perp r_perp) a(k) sin(omega t - k_z z) tau/(2 pi sqrt(2 pi)) d^3k on
-    Gauss-Legendre nodes, one node count for all times.
+    J0(k_perp r_perp) a(k) sin(omega t - k_z z) tau/(2 pi sqrt(2 pi)) d^3k on
+    Gauss-Legendre nodes, one node count for all times.  J0 is _j0 in numpy:
+    the midpoint rule on Bessel's integral, Hankel's expansion past _J0_X.
 
     Starting from _FIELD_BASE_N nodes per axis, the count doubles until two
     successive levels agree to _FIELD_ABS_TOL * e0 at every time, up to
@@ -220,13 +264,12 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    # imported here so that only field reconstruction pays for scipy
-    from scipy.special import j0
     window = _window(params)
 
     def estimate(n):
         KP, KZ, _, deficit, d3k = _nodes(*window, n)
-        static = (j0(KP * r_perp) * _amplitude(params, KP, KZ) * d3k).ravel()
+        # one J0 per k_perp node, broadcast over k_z
+        static = (_j0(KP[:, :1] * r_perp) * _amplitude(params, KP, KZ) * d3k).ravel()
         static *= params.tau / (2.0 * math.pi) ** 1.5
         kz, deficit = KZ.ravel(), deficit.ravel()
         # the phase omega*t - k_z*z as (omega - c k_z) t + k_z (c t - z), whose

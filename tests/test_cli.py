@@ -119,6 +119,18 @@ class TestMassPulse:
         assert float(data["mass_quadrature_g"]) == pulsemass.pulse_mass_quadrature(
             pulsemass.gaussian_spectral_density(params))
 
+    def test_oracle_mass_of_a_faint_pulse_does_not_underflow(self, tmp_path, capsys):
+        # e0 = 1e-120: e/c ~ 3e-261 and the deficit ~4e-264 g cm/s, whose
+        # product is below the smallest double; the mass scales as e0^2
+        cfg = write_config(tmp_path, "c.json", {"tau": 1e-12, "w": 1.6e-4, "lambda": 1e-4})
+        masses = []
+        for e0 in ("1", "1e-120"):
+            code, out, err = run_cli(capsys, "mass-pulse", "--config", cfg, "--oracle",
+                                     "--set", f"e0={e0}")
+            assert code == 0, err
+            masses.append(float(json.loads(out)["mass_quadrature_g"]))
+        assert masses[1] == pytest.approx(masses[0] * 1e-240, rel=1e-12, abs=0)
+
     def test_past_paraxial_limit_without_oracle_points_at_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
                            {"e0": 1.0, "tau": 1e-12, "w": 1.6e-4, "lambda": 1e-4})
@@ -591,6 +603,8 @@ class TestFieldSamples:
 
 _IMPORT_GRAPH_CHILD = textwrap.dedent("""
     import contextlib, io, json, sys
+    if sys.argv[6] == "blocked":
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
     import pulsemass, pulsemass.cli
     from pulsemass import cli
 
@@ -608,16 +622,15 @@ _IMPORT_GRAPH_CHILD = textwrap.dedent("""
     run("speed", "--config", pulse)
     run("delay", "--config", delay)
     run("sweep", "--config", sweep)
-    before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     csv = run("field-profile", "--config", field)
-    after = "scipy.special" in sys.modules
-    print(json.dumps({"before": before, "after": after, "csv": csv}))
+    loaded = sorted(m for m, module in sys.modules.items()
+                    if m.split(".")[0] == "scipy" and module is not None)
+    print(json.dumps({"loaded": loaded, "csv": csv}))
 """)
 
 
 class TestImportGraph:
-    def test_scipy_loaded_only_by_field_profile(self, tmp_path):
-        """Every command but field-profile runs without importing scipy."""
+    def run_every_command(self, tmp_path, scipy):
         configs = [
             write_config(tmp_path, "pulse.json", PULSE_CGS),
             write_config(tmp_path, "discrete.json", {"photons": [
@@ -634,12 +647,10 @@ class TestImportGraph:
         ]
         src = os.path.dirname(os.path.dirname(pulsemass.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_CHILD, *configs],
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_CHILD, *configs, scipy],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert result["before"] == []
-        assert result["after"] is True
         # the reconstructed field still matches the boundary condition
         # (acceptance criterion 10)
         rows = [line.split(",") for line in result["csv"].splitlines()[1:]]
@@ -650,6 +661,14 @@ class TestImportGraph:
             exact = (e0 * math.exp(-0.75**2 / (2 * w * w)) * math.sin(omega0 * t)
                      * math.exp(-t * t / (2 * tau * tau)))
             assert abs(float(e_raw) - exact) <= 1e-4 * e0
+        return result["loaded"]
+
+    def test_no_command_loads_scipy(self, tmp_path):
+        """Every command, field-profile included, runs without importing scipy."""
+        assert self.run_every_command(tmp_path, "available") == []
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        assert self.run_every_command(tmp_path, "blocked") == []
 
 
 _NUMPY_IMPORT_GRAPH_CHILD = textwrap.dedent("""

@@ -538,3 +538,25 @@ class TestPhotonModeBuiltOnce:
 
     def test_no_post_init(self):
         assert not hasattr(PhotonMode, "__post_init__")
+
+
+class TestFaintMomenta:
+    def test_mass_scales_exactly_with_the_weights(self):
+        # at 2^-900 the weights give e/c ~ 1e-293 g cm/s: (e/c + |p|) * deficit
+        # and the squares of |p| would underflow without the rescaling
+        modes = [PhotonMode.from_angles(OMEGA * (1 + i), theta, 0.7 * i, 1.0 + i)
+                 for i, theta in enumerate([0.1, -0.2, 0.05, 1e-3])]
+        faint = [PhotonMode(m.omega, m.direction, math.ldexp(m.weight, -900)) for m in modes]
+        m = invariant_mass(total_four_momentum(PhotonEnsemble(modes)))
+        m_faint = invariant_mass(total_four_momentum(PhotonEnsemble(faint)))
+        assert m > 0.0
+        assert m_faint.hex() == math.ldexp(m, -900).hex()
+
+    # down to 2^-510 the squares that give a hand-built momentum its deficit
+    # are normal; at 2^-510 the unscaled mass^2 ~2^-1039 would not be
+    @pytest.mark.parametrize("scale", [-510, -400, -257, -256, -100, 0, 300])
+    @pytest.mark.parametrize("components", [(5.0, 0.6, -0.8, 4.0), (1.0, 0.0, 0.0, 1 - 2**-20 / 3)])
+    def test_hand_built_momentum_scales_exactly(self, scale, components):
+        p = FourMomentum(*components)
+        q = FourMomentum(*(math.ldexp(v, scale) for v in components))
+        assert invariant_mass(q).hex() == math.ldexp(invariant_mass(p), scale).hex()

@@ -505,3 +505,94 @@ class TestFieldChunks:
         # the last level has 64^2 nodes, so two times per chunk: four chunks
         assert max(nodes) == 64
         assert chunked.tobytes() == whole.tobytes()
+
+
+def besselj0(x):
+    """J0 at the float x in 40-digit mpmath, rounded to a float."""
+    with mpmath.workdps(40):
+        return float(mpmath.besselj(0, mpmath.mpf(float(x))))
+
+
+def j0_error(xs):
+    xs = np.asarray(xs, dtype=float)
+    return max(abs(got - besselj0(x)) for got, x in zip(spectral._j0(xs).tolist(), xs))
+
+
+class TestJ0:
+    """spectral._j0 against mpmath: the midpoint rule below _J0_X is within
+    6e-16 (measured 5.5e-16 on a 2e4-point grid over [0, 100]), Hankel's
+    expansion past it within 1e-16 (measured 5.6e-17 out to 1e6)."""
+
+    MIDPOINT_TOL = 6e-16
+    HANKEL_TOL = 1e-16
+
+    def test_one_at_zero(self):
+        assert spectral._j0(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
+
+    def test_first_zeros(self):
+        with mpmath.workdps(40):
+            zeros = [float(mpmath.besseljzero(0, k)) for k in range(1, 41)]
+        near = [z for z in zeros if z < spectral._J0_X]
+        assert near and j0_error(near) <= self.MIDPOINT_TOL
+        assert j0_error([z for z in zeros if z >= spectral._J0_X]) <= self.HANKEL_TOL
+
+    def test_dense_grid_to_100(self):
+        xs = np.linspace(0.0, 100.0, 2001)
+        assert j0_error(xs[xs < spectral._J0_X]) <= self.MIDPOINT_TOL
+        assert j0_error(xs[xs >= spectral._J0_X]) <= self.HANKEL_TOL
+
+    def test_log_grid_to_1e6(self):
+        assert j0_error(np.geomspace(1e-6, spectral._J0_X, 200, endpoint=False)) <= self.MIDPOINT_TOL
+        assert j0_error(np.geomspace(spectral._J0_X, 1e6, 400)) <= self.HANKEL_TOL
+
+    def test_across_the_crossover(self):
+        x = spectral._J0_X
+        below = [x - d for d in (1e-3, 1e-9)] + [np.nextafter(x, 0.0)]
+        above = [x, np.nextafter(x, 2 * x), x + 1e-9, x + 1e-3]
+        assert j0_error(below) <= self.MIDPOINT_TOL
+        assert j0_error(above) <= self.HANKEL_TOL
+
+    def test_even(self):
+        xs = np.concatenate([np.linspace(0.0, 100.0, 1001), np.geomspace(1e-8, 1e300, 200)])
+        assert spectral._j0(-xs).tobytes() == spectral._j0(xs).tobytes()
+
+    def test_huge_arguments_stay_finite(self):
+        # 1/x^2 underflows quietly and leaves J0 ~ sqrt(2/(pi x)) cos(x - pi/4)
+        xs = [1e154, 1e200, 1e300, 1.7e308]
+        with np.errstate(over="raise", invalid="raise"):
+            got = spectral._j0(np.array(xs))
+        with mpmath.workdps(400):
+            for value, x in zip(got.tolist(), xs):
+                x = mpmath.mpf(x)
+                exact = mpmath.sqrt(2 / (mpmath.pi * x)) * mpmath.cos(x - mpmath.pi / 4)
+                assert abs(value - float(exact)) <= 1e-15 * float(mpmath.sqrt(1 / x))
+
+    def test_each_value_depends_on_its_own_argument(self):
+        xs = np.array([0.0, 3.0, 24.9, 25.0, 80.0, 1e6])
+        whole = spectral._j0(xs)
+        for i, x in enumerate(xs):
+            assert spectral._j0(np.array([x]))[0] == whole[i]
+
+    def test_field_takes_one_j0_per_kperp_node(self, monkeypatch):
+        shapes, j0 = [], spectral._j0
+
+        def recording_j0(x):
+            shapes.append(x.shape)
+            return j0(x)
+
+        monkeypatch.setattr(spectral, "_j0", recording_j0)
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        field_profile(p, -0.75, 0.0, np.linspace(-1.5 * p.tau, 1.5 * p.tau, 5))
+        assert shapes and all(shape[1] == 1 for shape in shapes)
+
+    # k_perp r reaches 1.8 and 30: both branches
+    @pytest.mark.parametrize("r_perp", [0.3, 5.0])
+    def test_field_is_even_in_r_perp(self, r_perp):
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        t = np.linspace(-1.5 * p.tau, 1.5 * p.tau, 5)
+        field = field_profile(p, r_perp, 0.0, t)
+        assert np.array_equal(field_profile(p, -r_perp, 0.0, t), field)
+        exact = (np.exp(-r_perp**2 / (2 * p.w**2)) * np.sin(p.omega0 * t)
+                 * np.exp(-t * t / (2 * p.tau**2)))
+        # the boundary field to 1e-8 e0 (criterion 10 asks for 1e-4 e0)
+        assert np.max(np.abs(field - exact)) <= 1e-8 * p.e0
