@@ -20,10 +20,6 @@ from .pulse import _squared
 # indicates a bug upstream, not numerical noise, so beyond this we raise.
 SPACELIKE_TOL = 1e-9
 
-# invariant_mass rescales e/c below this; above it (e/c)^2 is >= 2^-512, so
-# the mass^2 underflows only for a deficit below ~2^-511 e/c
-_FAINT = 2.0**-256
-
 # rest_frame takes a deficit within a few ulps of e/c for rounding, not mass
 _NULL_DEFICIT = 4.0 * 2.0**-52
 
@@ -36,10 +32,15 @@ _set = object.__setattr__  # the one way past a frozen dataclass's guard
 
 @dataclass(frozen=True)
 class FourMomentum:
-    """A four-momentum (e/c, px, py, pz) and its deficit e/c - |p|; all in g*cm/s.
+    """A four-momentum (e/c, px, py, pz), its deficit e/c - |p| and its
+    p_abs = |p|; all in g*cm/s.
 
-    A hand-built momentum's deficit defaults to e/c - |p| from its components;
-    total_four_momentum sums it per mode, so it does not cancel.
+    |p| = sqrt(px^2 + py^2 + pz^2) is formed once, here, on the components
+    times 2^-x, x = frexp(e/c)[1], so e/c is in [0.5, 1), and scaled back:
+    exact, so the bits are the unscaled formula's wherever its squares are
+    normal, and a faint momentum's do not underflow.  The spacelike test and
+    a hand-built momentum's default deficit use that |p|; total_four_momentum
+    sums the deficit per mode, so it does not cancel.
     """
 
     e_over_c: float
@@ -50,24 +51,24 @@ class FourMomentum:
 
     def __post_init__(self):
         what = "the four-momentum is out of floating-point range"
-        e2 = _squared("e_over_c", self.e_over_c, "g cm/s", what)
-        p2 = (_squared("px", self.px, "g cm/s", what) + _squared("py", self.py, "g cm/s", what)
-              + _squared("pz", self.pz, "g cm/s", what))
-        gap = e2 - p2
-        # a non-finite component makes gap infinite or NaN
+        e, px, py, pz = self.e_over_c, self.px, self.py, self.pz
+        # unscaled squares name a component out of range; a non-finite one makes gap inf or NaN
+        gap = _squared("e_over_c", e, "g cm/s", what) - (
+            _squared("px", px, "g cm/s", what) + _squared("py", py, "g cm/s", what)
+            + _squared("pz", pz, "g cm/s", what))
         if not math.isfinite(gap):
-            raise FloatingPointError(
-                f"non-finite four-momentum component in {(self.e_over_c, self.px, self.py, self.pz)}")
-        if not self.e_over_c >= 0.0:
+            raise FloatingPointError(f"non-finite four-momentum component in {(e, px, py, pz)}")
+        if not e >= 0.0:
             raise ValueError("four-momentum energy must be nonnegative")
-        if not gap >= -SPACELIKE_TOL * e2:
+        e, x = math.frexp(e)  # e/c = e 2^x, e in [0.5, 1)
+        px, py, pz = math.ldexp(px, -x), math.ldexp(py, -x), math.ldexp(pz, -x)
+        e2, p2 = e * e, px * px + py * py + pz * pz
+        if not e2 - p2 >= -SPACELIKE_TOL * e2:
             raise ValueError("spacelike four-momentum: corrupted ensemble")
+        p_abs = math.sqrt(p2)
+        _set(self, "p_abs", math.ldexp(p_abs, x))
         if self.deficit is None:
-            _set(self, "deficit", self.e_over_c - math.sqrt(p2))
-
-    @property
-    def p_abs(self) -> float:  # the squares are in range: __post_init__ took them
-        return math.sqrt(self.px**2 + self.py**2 + self.pz**2)
+            _set(self, "deficit", math.ldexp(e - p_abs, x))
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -173,20 +174,16 @@ def total_four_momentum(ensemble: PhotonEnsemble) -> FourMomentum:
 
 def invariant_mass(p: FourMomentum) -> float:
     """Invariant mass in g, sqrt((e/c + |p|) * deficit)/c: the one mass
-    formula, for photon ensembles and the spectral oracle alike.  A faint
-    momentum, e/c < _FAINT, is first scaled by an exact power of two to
-    e/c ~ 1 and its mass scaled back, so that neither |p|^2 nor the product
-    underflows; any other momentum keeps its bits."""
-    if 0.0 < p.e_over_c < _FAINT:
-        k = -math.frexp(p.e_over_c)[1]
-        scaled = (math.ldexp(v, k) for v in (p.e_over_c, p.px, p.py, p.pz, p.deficit))
-        return math.ldexp(invariant_mass(FourMomentum(*scaled)), -k)
-    s = (p.e_over_c + p.p_abs) * p.deficit
+    formula, for photon ensembles and the spectral oracle alike.  It is
+    formed on e/c, |p| and the deficit times the 2^-x of FourMomentum, so
+    that the product does not underflow, and scaled back by 2^x."""
+    e, x = math.frexp(p.e_over_c)
+    s = (e + math.ldexp(p.p_abs, -x)) * math.ldexp(p.deficit, -x)
     if not math.isfinite(s):
         raise FloatingPointError(f"non-finite mass^2 {s!r} from four-momentum {p}")
-    if not s >= -SPACELIKE_TOL * p.e_over_c**2:
+    if not s >= -SPACELIKE_TOL * (e * e):
         raise ValueError("spacelike four-momentum: corrupted ensemble")
-    return math.sqrt(max(s, 0.0)) / C
+    return math.ldexp(math.sqrt(max(s, 0.0)) / C, x)
 
 
 def ensemble_velocity(p: FourMomentum) -> float:

@@ -125,9 +125,11 @@ class TestInvariantMass:
         ))
         assert invariant_mass(total_four_momentum(ens)) == 0.0
 
-    def test_spacelike_raises(self):
-        with pytest.raises(ValueError):
-            FourMomentum(1.0, 0.0, 0.0, 2.0)
+    @pytest.mark.parametrize("scale", [0, -600])
+    def test_spacelike_raises(self, scale):
+        # at 2^-600 the unscaled squares of |p| underflow to 0
+        with pytest.raises(ValueError, match="^spacelike four-momentum: corrupted ensemble$"):
+            FourMomentum(math.ldexp(1.0, scale), 0.0, 0.0, math.ldexp(2.0, scale))
 
 
 class TestPairwiseMass:
@@ -552,11 +554,14 @@ class TestFaintMomenta:
         assert m > 0.0
         assert m_faint.hex() == math.ldexp(m, -900).hex()
 
-    # down to 2^-510 the squares that give a hand-built momentum its deficit
-    # are normal; at 2^-510 the unscaled mass^2 ~2^-1039 would not be
-    @pytest.mark.parametrize("scale", [-510, -400, -257, -256, -100, 0, 300])
+    # |p|, the deficit and the mass are formed with e/c scaled to [0.5, 1):
+    # unscaled, the squares of |p| are subnormal below 2^-511 and the mass^2
+    # here below ~2^-500; at 2^-1000 the deficit ~2^-1021.6 is still normal
+    @pytest.mark.parametrize("scale", [-1000, -900, -600, -510, -400, -257, -256, -100, 0, 300])
     @pytest.mark.parametrize("components", [(5.0, 0.6, -0.8, 4.0), (1.0, 0.0, 0.0, 1 - 2**-20 / 3)])
     def test_hand_built_momentum_scales_exactly(self, scale, components):
         p = FourMomentum(*components)
         q = FourMomentum(*(math.ldexp(v, scale) for v in components))
         assert invariant_mass(q).hex() == math.ldexp(invariant_mass(p), scale).hex()
+        assert q.deficit.hex() == math.ldexp(p.deficit, scale).hex()
+        assert q.p_abs.hex() == math.ldexp(p.p_abs, scale).hex()

@@ -2,10 +2,13 @@
 
 The reference functions below are the per-PhotonMode loops the array code
 was written from.  Each array result must equal them bit for bit: the same
-per-mode operations in the same order, and the same exact math.fsum.
+per-mode operations in the same order, and the same exact math.fsum.  The
+mass is held to the unscaled formula, which invariant_mass scales by a power
+of two.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +23,7 @@ from pulsemass.kinematics import (
     PhotonEnsemble,
     PhotonMode,
     boost_ensemble,
+    invariant_mass,
     total_four_momentum,
 )
 
@@ -35,6 +39,11 @@ def ref_total(modes):
     py = math.fsum(k * m.direction[1] for k, m in zip(ks, modes))
     pz = math.fsum(k * m.direction[2] for k, m in zip(ks, modes))
     return FourMomentum(e, px, py, pz)
+
+
+def ref_mass_squared(p):
+    """(m c)^2 = (e/c + |p|) * deficit, unscaled, with |p| from its squares."""
+    return (p.e_over_c + math.sqrt(p.px * p.px + p.py * p.py + p.pz * p.pz)) * p.deficit
 
 
 def ref_boost(mode, frame):
@@ -61,6 +70,9 @@ def assert_same_bits(modes, beta):
     ens = PhotonEnsemble(modes)
     p, ref = total_four_momentum(ens), ref_total(modes)
     assert bits((p.e_over_c, p.px, p.py, p.pz)) == bits((ref.e_over_c, ref.px, ref.py, ref.pz))
+    s = ref_mass_squared(p)
+    if p.deficit == 0.0 or s >= sys.float_info.min:  # else s lost bits the scaled one keeps
+        assert invariant_mass(p).hex() == (math.sqrt(s) / C).hex()
     frame = BoostFrame(beta)
     boosted = boost_ensemble(ens, frame)
     expected = [ref_boost(m, frame) for m in modes]
