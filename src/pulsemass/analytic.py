@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .constants import C, HBAR
-from .pulse import GaussianPulseParams, _squared, validity_ratio
+from .pulse import GaussianPulseParams, validity_ratio
 
 
 class ParaxialError(ValueError):
@@ -56,21 +56,19 @@ def _check_paraxial(params: GaussianPulseParams) -> tuple[float, float]:
 
 def pulse_energy(params: GaussianPulseParams) -> float:
     """Paraxial pulse energy sqrt(pi)*c*tau*w^2*E0^2/8 in erg."""
-    what = "the pulse energy and mass are out of floating-point range"
-    energy = (math.sqrt(math.pi) * C * params.tau * _squared("w", params.w, "cm", what)
-              * _squared("e0", params.e0, "statvolt/cm", what) / 8.0)
+    w, e0 = params.w, params.e0
+    energy = math.sqrt(math.pi) * C * params.tau * (w * w) * (e0 * e0) / 8.0
     if not math.isfinite(energy):
-        raise OverflowError(f"e0 = {params.e0:.6g} statvolt/cm, w = {params.w:.6g} cm, tau = "
+        raise OverflowError(f"e0 = {e0:.6g} statvolt/cm, w = {w:.6g} cm, tau = "
                             f"{params.tau:.6g} s: the pulse energy is out of floating-point range")
     return energy
 
 
 def speed_deficit(mass: float, energy: float) -> float:
     """c - v = c (m c^2)^2/(2 energy^2) in cm/s."""
+    mc2 = mass * C * C
     try:
-        dv = C * (mass * C * C) ** 2 / (2.0 * energy * energy)
-    except OverflowError:
-        dv = math.inf
+        dv = C * (mc2 * mc2) / (2.0 * energy * energy)
     except ZeroDivisionError:
         raise FloatingPointError(f"mass = {mass:.6g} g, energy = {energy:.6g} erg: energy^2 "
                                  "underflows, so c - v = c (m c^2)^2/(2 energy^2) is undefined") from None
@@ -81,9 +79,10 @@ def speed_deficit(mass: float, energy: float) -> float:
 
 
 def _closed_forms(params: GaussianPulseParams) -> PulseSummary:
-    """summarize without the paraxial check; pulse_energy names any overflow of e0^2."""
+    """summarize without the paraxial check; pulse_energy's range check covers e0^2."""
     energy = pulse_energy(params)
-    mass = math.sqrt(math.pi) * params.tau * params.w * params.e0**2 / (8.0 * params.omega0)
+    e0 = params.e0
+    mass = math.sqrt(math.pi) * params.tau * params.w * (e0 * e0) / (8.0 * params.omega0)
     return PulseSummary(
         energy=energy,
         photon_count=energy / (HBAR * params.omega0),

@@ -104,7 +104,10 @@ def _omega(cfg: dict, key: str, units: str, what: str) -> float:
     if key in cfg:
         return _num(cfg, key, None, units)
     if "lambda" in cfg:
-        return 2.0 * math.pi * C / _num(cfg, "lambda", "length", units)
+        lam = _num(cfg, "lambda", "length", units)
+        if not lam > 0.0:
+            raise ConfigError(f"{what} needs 'lambda' > 0, got {lam!r}")
+        return 2.0 * math.pi * C / lam
     raise ConfigError(f"{what} needs {key!r} or 'lambda'")
 
 

@@ -74,7 +74,8 @@ def mass_kperp_correspondence(mass: float, energy: float) -> float:
         raise ValueError("need finite mass >= 0 and energy > 0")
     if mass * C * C > energy:
         raise ValueError("mass c^2 exceeds energy")
-    return (mass * C * C / energy) ** 2
+    ratio = mass * C * C / energy
+    return ratio * ratio
 
 
 def kperp_ratio_to_mass(ratio: float, energy: float) -> float:
@@ -100,8 +101,9 @@ def channel_delay(config: ExperimentConfig) -> DelayReport:
     delta_l = 2.0 * config.f * half_deficit
     energy = pulse_energy(config.source)
     lam = config.source.wavelength
+    w_half_sq = config.w_half * config.w_half
     try:
-        f_over_ld = config.f * lam / (2.0 * math.pi * config.w_half**2)
+        f_over_ld = config.f * lam / (2.0 * math.pi * w_half_sq)
     except ZeroDivisionError:
         raise FloatingPointError(f"w_half = {config.w_half:.6g} cm: w_half^2 underflows, "
                                  "so f/L_D = f lambda/(2 pi w_half^2) is undefined") from None
@@ -114,6 +116,6 @@ def channel_delay(config: ExperimentConfig) -> DelayReport:
         separated=delta_l > C * config.source.tau,
         m_fdr=energy / (C * C) * r,
         f_over_ld=f_over_ld,
-        gain_over_intrinsic=2.0 * math.pi * config.w_half**2 / (config.f * lam),
+        gain_over_intrinsic=2.0 * math.pi * w_half_sq / (config.f * lam),
     )
 

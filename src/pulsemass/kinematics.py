@@ -14,7 +14,6 @@ from itertools import chain
 import numpy as np
 
 from .constants import C, HBAR
-from .pulse import _squared
 
 # Relative slack for the timelike-or-null check.  A spacelike photon sum
 # indicates a bug upstream, not numerical noise, so beyond this we raise.
@@ -38,9 +37,10 @@ class FourMomentum:
     |p| = sqrt(px^2 + py^2 + pz^2) is formed once, here, on the components
     times 2^-x, x = frexp(e/c)[1], so e/c is in [0.5, 1), and scaled back:
     exact, so the bits are the unscaled formula's wherever its squares are
-    normal, and a faint momentum's do not underflow.  The spacelike test and
-    a hand-built momentum's default deficit use that |p|; total_four_momentum
-    sums the deficit per mode, so it does not cancel.
+    normal, and scale with the momentum from the faintest finite one to the
+    largest.  The spacelike test and a hand-built momentum's default deficit
+    use that |p|; total_four_momentum sums the deficit per mode, so it does
+    not cancel.
     """
 
     e_over_c: float
@@ -50,13 +50,9 @@ class FourMomentum:
     deficit: float | None = None
 
     def __post_init__(self):
-        what = "the four-momentum is out of floating-point range"
         e, px, py, pz = self.e_over_c, self.px, self.py, self.pz
-        # unscaled squares name a component out of range; a non-finite one makes gap inf or NaN
-        gap = _squared("e_over_c", e, "g cm/s", what) - (
-            _squared("px", px, "g cm/s", what) + _squared("py", py, "g cm/s", what)
-            + _squared("pz", pz, "g cm/s", what))
-        if not math.isfinite(gap):
+        if not (math.isfinite(e) and math.isfinite(px) and math.isfinite(py)
+                and math.isfinite(pz)):
             raise FloatingPointError(f"non-finite four-momentum component in {(e, px, py, pz)}")
         if not e >= 0.0:
             raise ValueError("four-momentum energy must be nonnegative")
@@ -145,7 +141,7 @@ class BoostFrame:
 
     @property
     def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.beta**2)
+        return 1.0 / math.sqrt(1.0 - self.beta * self.beta)
 
 
 @np.errstate(over="ignore")
@@ -187,10 +183,13 @@ def invariant_mass(p: FourMomentum) -> float:
 
 
 def ensemble_velocity(p: FourMomentum) -> float:
-    """Centroid propagation speed v = c^2 <p_z>/<epsilon> in cm/s."""
+    """Centroid propagation speed v = c^2 <p_z>/<epsilon> in cm/s, formed
+    as c p_z/(e/c) on p_z and e/c times the 2^-x of FourMomentum: the bits
+    of the unscaled quotient, without its overflow of c p_z."""
     if p.e_over_c <= 0.0:
         raise ValueError("zero-energy four-momentum has no velocity")
-    v = C * p.pz / p.e_over_c
+    e, x = math.frexp(p.e_over_c)
+    v = C * math.ldexp(p.pz, -x) / e
     return max(-C, min(C, v))
 
 

@@ -1,5 +1,5 @@
-"""Gaussian pulse parameters, their paraxial small parameters, the
-quadrature failure and the named square, free of numpy for the closed forms."""
+"""Gaussian pulse parameters, their paraxial small parameters and the
+quadrature failure, free of numpy for the closed forms."""
 import math
 from dataclasses import dataclass
 
@@ -14,14 +14,6 @@ def _require_positive(**values: float) -> None:
     for name, value in values.items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and strictly positive")
-
-
-def _squared(name: str, value: float, unit: str, what: str) -> float:
-    """value^2; out of range, an OverflowError names it and says `what` follows."""
-    try:
-        return value**2
-    except OverflowError:
-        raise OverflowError(f"{name} = {value:.6g} {unit}: {name}^2 overflows, so {what}") from None
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -369,6 +370,19 @@ class TestNonFinite:
         assert out == ""
         assert err == "config error: config key 'theta_deg' must be a number\n"
 
+    @pytest.mark.parametrize("lam", [0.0, -1e-4])
+    @pytest.mark.parametrize("command, payload, what", [
+        ("speed", lambda lam: {**PULSE_CGS, "lambda": lam}, "pulse"),
+        ("mass-discrete", lambda lam: {"photons": [{"lambda": lam, "theta_deg": 30.0}]},
+         "photon 0"),
+    ], ids=["speed", "mass-discrete"])
+    def test_non_positive_wavelength_is_config_error(self, tmp_path, capsys,
+                                                     command, payload, what, lam):
+        cfg = write_config(tmp_path, "c.json", payload(lam))
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {what} needs 'lambda' > 0, got {lam!r}\n"
+
     @pytest.mark.parametrize("w", ["1e200", "1e-200"])
     def test_energy_pulse_with_extreme_waist_names_w(self, tmp_path, capsys, w):
         # e0 = sqrt(8 E/(sqrt(pi) c tau w^2)) is out of range, not a bad e0
@@ -408,11 +422,14 @@ class TestNonFinite:
                    "pulse": PULSE_CGS}, []),
     ])
     def test_overflow_names_w(self, tmp_path, capsys, command, payload, overrides):
+        # w^2 overflows: the pulse energy's range check names e0, w and tau
         cfg = write_config(tmp_path, "c.json", payload)
         code, out, err = run_cli(capsys, command, "--config", cfg, *overrides)
         assert code == 3
         assert out == ""
-        assert err.startswith("numerical error: OverflowError: w = 1e+200 cm: w^2 overflows")
+        assert re.fullmatch(r"numerical error: OverflowError: e0 = \S+ statvolt/cm, "
+                            r"w = 1e\+200 cm, tau = 1e-12 s: "
+                            r"the pulse energy is out of floating-point range\n", err)
 
     OVERFLOWING_ENERGY = {"e0": 1e150, "w": 1e5, "tau": 1e-12, "lambda": 1e-4}
 
@@ -468,16 +485,17 @@ class TestNonFinite:
         assert err == ("numerical error: FloatingPointError: row 1: mu overflows, "
                        "so the mass density is out of floating-point range\n")
 
-    def test_overflowing_four_momentum_is_named(self, tmp_path, capsys):
-        # each photon momentum is finite, the square of their total is not
+    def test_four_momentum_near_the_top_of_the_range(self, tmp_path, capsys):
+        # e/c = 7e290 g cm/s: its unscaled square, and c p_z, are out of range
         cfg = write_config(tmp_path, "c.json", {"photons": [
             {"omega": 1e308, "weight": 1e20, "theta_deg": 30.0},
             {"omega": 1e308, "weight": 1e20, "theta_deg": -30.0}]})
         code, out, err = run_cli(capsys, "mass-discrete", "--config", cfg)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("numerical error: OverflowError: e_over_c = 7.03535e+290 g cm/s: "
-                              "e_over_c^2 overflows")
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        # mpmath at 50 digits: 2 weight hbar omega sin(30 deg)/c^2 and c cos(30 deg)
+        assert result["mass_g"] == pytest.approx(1.1733693912976162e280, rel=1e-15, abs=0)
+        assert result["velocity_cm_s"] == pytest.approx(2.5962788449097936e10, rel=1e-15, abs=0)
 
     def test_overflowing_field_amplitude_fails_at_once(self, capsys):
         # e0 w^2 is out of range: the first refinement level stops, no warning line
