@@ -8,8 +8,7 @@ _OWNER = {name: module for module, names in (
     ("pulse", "GaussianPulseParams QuadratureError validity_ratio"),
     ("kinematics", "BoostFrame FourMomentum PhotonEnsemble PhotonMode boost_ensemble "
                    "ensemble_velocity invariant_mass rest_frame total_four_momentum"),
-    ("spectral", "EnergyMomentum ForwardClipWarning SpectralDensity energy_momentum_deficit "
-                 "field_profile gaussian_spectral_density integrate_observables "
+    ("spectral", "EnergyMomentum ForwardClipWarning field_profile integrate_observables "
                  "pulse_mass_quadrature"),
     ("analytic", "ParaxialError ParaxialWarning PulseSummary mass_from_energy "
                  "mass_from_photon_number pulse_energy summarize w_limit_scaling"),

@@ -44,14 +44,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
+def _fmt(x: float, name: str = "result") -> str:
     """Fixed 17-significant-digit scientific notation for all data output.
 
     NaN and infinities are not JSON, so a non-finite result is a numerical
-    failure rather than data.
+    failure rather than data, named by name.
     """
     if not math.isfinite(x):
-        raise FloatingPointError(f"non-finite result {x!r}")
+        raise FloatingPointError(f"non-finite {name} {x!r}")
     return f"{x:.16e}"
 
 
@@ -140,7 +140,7 @@ def _emit_json(command: str, fields: dict, out_path: str | None) -> None:
     """One flat JSON object, a key per line; floats in _fmt notation, other
     values (strings, booleans, None) as JSON."""
     payload = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
-    items = (f"  {json.dumps(k)}: {_fmt(v) if isinstance(v, float) else json.dumps(v)}"
+    items = (f"  {json.dumps(k)}: {_fmt(v, k) if isinstance(v, float) else json.dumps(v)}"
              for k, v in payload.items())
     _emit("{\n" + ",\n".join(items) + "\n}\n", out_path)
 
@@ -204,7 +204,7 @@ def cmd_mass_pulse(cfg: dict, args) -> None:
     fields.update(wavelength_cm=params.wavelength, lambda_over_w=rw, lambda_over_ctau=rt)
     if args.oracle:
         from . import spectral
-        m_quad = spectral.pulse_mass_quadrature(spectral.gaussian_spectral_density(params))
+        m_quad = spectral.pulse_mass_quadrature(params)
         fields["mass_quadrature_g"] = m_quad
         if summary is not None:
             fields["oracle_rel_deviation"] = abs(m_quad - summary.mass) / m_quad

@@ -59,7 +59,9 @@ class FourMomentum:
         e, x = math.frexp(e)  # e/c = e 2^x, e in [0.5, 1)
         px, py, pz = math.ldexp(px, -x), math.ldexp(py, -x), math.ldexp(pz, -x)
         e2, p2 = e * e, px * px + py * py + pz * pz
-        if not e2 - p2 >= -SPACELIKE_TOL * e2:
+        # frexp(0) gives no scale, so an e/c of 0 leaves p unscaled and p^2
+        # may underflow to 0: any nonzero component is spacelike
+        if not e2 - p2 >= -SPACELIKE_TOL * e2 or (e == 0.0 and (px or py or pz)):
             raise ValueError("spacelike four-momentum: corrupted ensemble")
         p_abs = math.sqrt(p2)
         _set(self, "p_abs", math.ldexp(p_abs, x))

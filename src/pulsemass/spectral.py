@@ -89,28 +89,6 @@ def _j0(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpectralDensity:
-    """Azimuthally symmetric photon density over forward-propagating k-space.
-
-    amplitude(k_perp, k_z) must accept and return numpy arrays and yield the
-    photon number per unit k^3-volume (polarization already summed out).
-    """
-
-    amplitude: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    kz_min: float
-    kz_max: float
-    kperp_max: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.kz_min, self.kz_max, self.kperp_max))):
-            raise ValueError("support window must be finite")
-        if self.kz_min <= 0.0:
-            raise ValueError("support must lie in the forward half-space k_z > 0")
-        if self.kz_max <= self.kz_min or self.kperp_max <= 0.0:
-            raise ValueError("degenerate support window")
-
-
-@dataclass(frozen=True)
 class EnergyMomentum:
     """Totals from the spectral integrals; p_x = p_y = 0 by symmetry."""
 
@@ -122,7 +100,8 @@ class EnergyMomentum:
 
 def _window(params: GaussianPulseParams) -> tuple[float, float, float]:
     """(kz_min, kz_max, kperp_max): k_z in k0 +- _WINDOW_SIGMAS/(c tau),
-    clipped at 1e-9 k0, and k_perp up to _WINDOW_SIGMAS/w."""
+    clipped at 1e-9 k0, and k_perp up to _WINDOW_SIGMAS/w; the one spectral
+    window of the oracle and the field, checked by _support."""
     k0 = params.omega0 / C
     dk = _WINDOW_SIGMAS / (C * params.tau)
     kz_lo = k0 - dk
@@ -135,11 +114,24 @@ def _window(params: GaussianPulseParams) -> tuple[float, float, float]:
                 "violates the forward-propagation assumption (pulse too short "
                 "or too wide)", ForwardClipWarning)
         kz_lo = 1e-9 * k0
-    return kz_lo, k0 + dk, _WINDOW_SIGMAS / params.w
+    return _support(kz_lo, k0 + dk, _WINDOW_SIGMAS / params.w)
 
 
-def _amplitude(params: GaussianPulseParams, kperp, kz):
-    """Spectral field amplitude of the Gaussian boundary pulse,
+def _support(kz_min: float, kz_max: float, kperp_max: float) -> tuple[float, float, float]:
+    """The window, once it is finite, forward and of nonzero extent: a pulse
+    of extreme tau or omega0 gives one that is not."""
+    if not all(map(math.isfinite, (kz_min, kz_max, kperp_max))):
+        raise ValueError("support window must be finite")
+    if kz_min <= 0.0:
+        raise ValueError("support must lie in the forward half-space k_z > 0")
+    if kz_max <= kz_min or kperp_max <= 0.0:
+        raise ValueError("degenerate support window")
+    return kz_min, kz_max, kperp_max
+
+
+def _amplitude(params: GaussianPulseParams, kperp, kz, k):
+    """Spectral field amplitude of the Gaussian boundary pulse at nodes of
+    norm k = |k|,
 
     a(k) = E0 w^2 exp(-k_perp^2 w^2/2) * (c^2 k_z/omega_k)
            * exp(-(omega_k - omega0)^2 tau^2/2),
@@ -147,22 +139,17 @@ def _amplitude(params: GaussianPulseParams, kperp, kz):
     shared by the photon density and the boundary-field reconstruction.
     """
     e0, tau, w, omega0 = params.e0, params.tau, params.w, params.omega0
-    omega = C * np.hypot(kz, kperp)
+    omega = C * k
     return (e0 * w * w * np.exp(-kperp * kperp * w * w / 2.0)
             * (C * C * kz / omega)
             * np.exp(-((omega - omega0) * tau) ** 2 / 2.0))
 
 
-def gaussian_spectral_density(params: GaussianPulseParams) -> SpectralDensity:
-    """Photon density of the Gaussian boundary pulse,
+def _density(params: GaussianPulseParams, kperp, kz, k):
+    """Photon number per unit k^3-volume (polarization summed out),
     rho(k) = tau^2 a(k)^2/(8 pi hbar omega_k) with a(k) from _amplitude."""
-    scale = params.tau * params.tau / (8.0 * math.pi * HBAR * C)
-
-    def rho(kperp, kz):
-        a = _amplitude(params, kperp, kz)
-        return scale * a * a / np.hypot(kz, kperp)
-
-    return SpectralDensity(rho, *_window(params))
+    a = _amplitude(params, kperp, kz, k)
+    return params.tau * params.tau / (8.0 * math.pi * HBAR * C) * a * a / k
 
 
 @lru_cache(maxsize=32)
@@ -207,17 +194,19 @@ def _refine(estimate: Callable[[int], np.ndarray], n: int, n_max: int,
         f"differ by {delta[worst]:.3g} > {tol[worst]:.3g}")
 
 
-def integrate_observables(density: SpectralDensity) -> EnergyMomentum:
-    """Energy, z-momentum, photon number and the deficit epsilon - c*p_z by
-    one adaptive k-space quadrature.
+def integrate_observables(params: GaussianPulseParams) -> EnergyMomentum:
+    """Energy, z-momentum, photon number and the deficit epsilon - c*p_z of
+    the pulse by one adaptive k-space quadrature of _density over _window.
 
     The transverse momentum components vanish identically by azimuthal
     symmetry and are never computed.  The deficit integrand omega_k - c*k_z
     is _nodes' cancellation-free deficit.
     """
+    window = _window(params)
+
     def estimate(n):
-        KP, KZ, k, deficit, d3k = _nodes(density.kz_min, density.kz_max, density.kperp_max, n)
-        photons = density.amplitude(KP, KZ) * d3k
+        KP, KZ, k, deficit, d3k = _nodes(*window, n)
+        photons = _density(params, KP, KZ, k) * d3k
 
         def total(integrand):
             # fixed contraction order keeps the result deterministic per level
@@ -233,15 +222,10 @@ def integrate_observables(density: SpectralDensity) -> EnergyMomentum:
     return EnergyMomentum(*map(float, totals))
 
 
-def energy_momentum_deficit(density: SpectralDensity) -> float:
-    """epsilon - c*p_z in erg, as a single integral of a positive integrand."""
-    return integrate_observables(density).deficit
-
-
-def pulse_mass_quadrature(density: SpectralDensity) -> float:
+def pulse_mass_quadrature(params: GaussianPulseParams) -> float:
     """Invariant mass in g by kinematics.invariant_mass, the one mass formula,
     with the deficit epsilon - c*p_z from its own integral."""
-    obs = integrate_observables(density)
+    obs = integrate_observables(params)
     return invariant_mass(FourMomentum(obs.energy / C, 0.0, 0.0, obs.pz, obs.deficit / C))
 
 
@@ -267,9 +251,9 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
     window = _window(params)
 
     def estimate(n):
-        KP, KZ, _, deficit, d3k = _nodes(*window, n)
+        KP, KZ, k, deficit, d3k = _nodes(*window, n)
         # one J0 per k_perp node, broadcast over k_z
-        static = (_j0(KP[:, :1] * r_perp) * _amplitude(params, KP, KZ) * d3k).ravel()
+        static = (_j0(KP[:, :1] * r_perp) * _amplitude(params, KP, KZ, k) * d3k).ravel()
         static *= params.tau / (2.0 * math.pi) ** 1.5
         kz, deficit = KZ.ravel(), deficit.ravel()
         # the phase omega*t - k_z*z as (omega - c k_z) t + k_z (c t - z), whose

@@ -117,8 +117,7 @@ class TestMassPulse:
         assert float(data["lambda_over_w"]) == pytest.approx(0.625, rel=1e-12, abs=0)
         params = pulsemass.GaussianPulseParams(
             1.0, 1e-12, 1.6e-4, 2 * math.pi * C / 1e-4)
-        assert float(data["mass_quadrature_g"]) == pulsemass.pulse_mass_quadrature(
-            pulsemass.gaussian_spectral_density(params))
+        assert float(data["mass_quadrature_g"]) == pulsemass.pulse_mass_quadrature(params)
 
     def test_oracle_mass_of_a_faint_pulse_does_not_underflow(self, tmp_path, capsys):
         # e0 = 1e-120: e/c ~ 3e-261 and the deficit ~4e-264 g cm/s, whose
@@ -506,6 +505,27 @@ class TestNonFinite:
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("numerical error: FloatingPointError:")
+
+    @pytest.mark.parametrize("override, message", [
+        ("tau=1000", "degenerate support window"),
+        ("tau=1e-320", "support window must be finite"),
+        ("omega0=1e-320", "support must lie in the forward half-space k_z > 0"),
+    ], ids=["tau=1000", "tau=1e-320", "omega0=1e-320"])
+    def test_field_refuses_the_oracle_window(self, tmp_path, capsys, override, message):
+        # the k_z window collapses, overflows, or reaches k_z = 0
+        cfg = write_config(tmp_path, "c.json", {**FIELD_CGS, "t_min": -1e-3, "t_max": 1e-3})
+        code, out, err = run_cli(capsys, "field-profile", "--config", cfg, "--set", override)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"config error: {message}"
+
+    def test_non_finite_json_field_is_named(self, tmp_path, capsys):
+        # w_half^2 overflows, so the focusing gain is inf
+        cfg = write_config(tmp_path, "c.json", {"w_half": 1e200, "f": 1e201,
+                                                "source": PULSE_CGS})
+        code, out, err = run_cli(capsys, "delay", "--config", cfg)
+        assert (code, out) == (3, "")
+        assert err == ("numerical error: FloatingPointError: "
+                       "non-finite gain_over_intrinsic inf\n")
 
     TINY_E0 = {"e0": 1e-130, "tau": 1e-12, "w": 1.0, "lambda": 1e-4}
 

@@ -436,6 +436,18 @@ class TestInvariantsAndHelpers:
         with pytest.raises(ValueError, match="^spacelike four-momentum"):
             FourMomentum(*components)
 
+    @pytest.mark.parametrize("slot", [1, 2, 3], ids=["px", "py", "pz"])
+    def test_zero_energy_with_a_faint_component_is_refused(self, slot):
+        # e/c = 0 gives no scale, and the unscaled 1e-200^2 underflows to 0
+        components = [0.0, 0.0, 0.0, 0.0]
+        components[slot] = 1e-200
+        with pytest.raises(ValueError, match="^spacelike four-momentum"):
+            FourMomentum(*components)
+
+    def test_zero_momentum_is_null(self):
+        p = FourMomentum(0.0, -0.0, 0.0, -0.0)
+        assert (p.p_abs, p.deficit, invariant_mass(p)) == (0.0, 0.0, 0.0)
+
     def test_invariant_mass_rejects_non_finite(self):
         class Momentum:  # a duck-typed momentum that skipped validation
             e_over_c, p_abs = math.inf, math.inf

@@ -18,8 +18,7 @@ EXPORTS = {
                    "boost_ensemble", "ensemble_velocity", "invariant_mass", "rest_frame",
                    "total_four_momentum"],
     "spectral": ["EnergyMomentum", "ForwardClipWarning", "GaussianPulseParams",
-                 "QuadratureError", "SpectralDensity", "energy_momentum_deficit",
-                 "field_profile", "gaussian_spectral_density", "integrate_observables",
+                 "QuadratureError", "field_profile", "integrate_observables",
                  "pulse_mass_quadrature", "validity_ratio"],
     "analytic": ["ParaxialError", "ParaxialWarning", "PulseSummary", "mass_from_energy",
                  "mass_from_photon_number", "pulse_energy", "summarize", "w_limit_scaling"],

@@ -22,10 +22,7 @@ from pulsemass.spectral import (
     ForwardClipWarning,
     GaussianPulseParams,
     QuadratureError,
-    SpectralDensity,
-    energy_momentum_deficit,
     field_profile,
-    gaussian_spectral_density,
     integrate_observables,
     pulse_mass_quadrature,
     validity_ratio,
@@ -53,12 +50,16 @@ def closed_mass(p):
     return math.sqrt(math.pi) * p.tau * p.w * p.e0**2 / (8.0 * p.omega0)
 
 
+def rho(p, kp, kz):
+    """The oracle's photon density at (k_perp, k_z)."""
+    return spectral._density(p, kp, kz, np.hypot(kz, kp))
+
+
 class TestGaussianDensity:
     def test_value_at_carrier(self):
         p = params_for(1e-4, 3e-3, e0=2.0)
-        d = gaussian_spectral_density(p)
         k0 = p.omega0 / C
-        got = float(d.amplitude(np.array(0.0), np.array(k0)))
+        got = float(rho(p, np.array(0.0), np.array(k0)))
         # tau^2 E0^2 w^4 / (8 pi hbar omega0) times the exact Jacobian
         # factor (c^2 k_z/omega_k)^2 = c^2 at this point
         expected = p.tau**2 * p.e0**2 * p.w**4 * C**2 / (8 * math.pi * HBAR * p.omega0)
@@ -66,78 +67,76 @@ class TestGaussianDensity:
 
     def test_transverse_gaussian_rolloff(self):
         p = params_for(1e-4, 3e-3)
-        d = gaussian_spectral_density(p)
         k0 = p.omega0 / C
         kp = 6.0 / p.w
         kz = math.sqrt(k0**2 - kp**2)  # same omega_k as the on-axis point
-        ratio = float(d.amplitude(np.array(kp), np.array(kz))) / float(
-            d.amplitude(np.array(0.0), np.array(k0)))
+        ratio = float(rho(p, np.array(kp), np.array(kz))) / float(
+            rho(p, np.array(0.0), np.array(k0)))
         assert ratio == pytest.approx(math.exp(-36.0) * (kz / k0) ** 2, rel=1e-12, abs=0)
 
     def test_forward_clip_warning(self):
         # c*tau = lambda/2: a sizable part of the k_z Gaussian sits below zero
         with pytest.warns(ForwardClipWarning):
-            gaussian_spectral_density(params_for(1e-4, 2.0))
+            spectral._window(params_for(1e-4, 2.0))
 
     def test_support_is_forward(self):
-        d = gaussian_spectral_density(params_for(1e-2, 1e-2))
-        assert d.kz_min > 0.0
-        assert d.kz_max > d.kz_min
+        kz_min, kz_max, _ = spectral._window(params_for(1e-2, 1e-2))
+        assert kz_min > 0.0
+        assert kz_max > kz_min
 
     def test_rejects_backward_support(self):
-        with pytest.raises(ValueError):
-            SpectralDensity(lambda kp, kz: kz, -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="forward half-space"):
+            spectral._support(-1.0, 1.0, 1.0)
 
 
 class TestIntegrateObservables:
     def test_energy_against_closed_form(self):
         # spec operating point: lambda/w = 1e-4, lambda/ctau ~ 3.3e-3
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
-        obs = integrate_observables(gaussian_spectral_density(p))
+        obs = integrate_observables(p)
         assert obs.energy == pytest.approx(closed_energy(p), rel=1e-5, abs=0)
 
     def test_photon_count_against_closed_form(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
-        obs = integrate_observables(gaussian_spectral_density(p))
+        obs = integrate_observables(p)
         n_closed = closed_energy(p) / (HBAR * p.omega0)
         assert obs.photon_count == pytest.approx(n_closed, rel=1e-5, abs=0)
 
     def test_energy_exceeds_c_pz_by_paraxial_deficit(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
-        obs = integrate_observables(gaussian_spectral_density(p))
+        obs = integrate_observables(p)
         rel = (obs.energy - C * obs.pz) / obs.energy
         assert rel == pytest.approx(LAM**2 / (8 * math.pi**2 * p.w**2), rel=1e-2, abs=0)
 
-    def test_zero_amplitude_gives_zeros(self):
-        d = SpectralDensity(lambda kp, kz: np.zeros_like(kp), 1.0, 2.0, 1.0)
-        obs = integrate_observables(d)
+    def test_zero_amplitude_gives_zeros(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_amplitude", lambda params, kp, kz, k: np.zeros_like(kp))
+        obs = integrate_observables(params_for(1e-2, 1e-2))
         assert obs.energy == 0.0 and obs.pz == 0.0 and obs.photon_count == 0.0
 
     def test_against_scipy_dblquad(self):
         # independent route: adaptive scipy quadrature of the same integrand
         p = params_for(3e-2, 3e-2)
-        d = gaussian_spectral_density(p)
+        kz_min, kz_max, kperp_max = spectral._window(p)
 
         def integrand(kp, kz):
             omega = C * math.hypot(kz, kp)
-            return 2 * math.pi * kp * HBAR * omega * float(
-                d.amplitude(np.array(kp), np.array(kz)))
+            return 2 * math.pi * kp * HBAR * omega * float(rho(p, np.array(kp), np.array(kz)))
 
-        ref, err = dblquad(integrand, d.kz_min, d.kz_max,
-                           0.0, d.kperp_max, epsabs=0.0, epsrel=1e-11)
-        obs = integrate_observables(d)
+        ref, err = dblquad(integrand, kz_min, kz_max,
+                           0.0, kperp_max, epsabs=0.0, epsrel=1e-11)
+        obs = integrate_observables(p)
         assert obs.energy == pytest.approx(ref, rel=1e-8, abs=0)
 
 
 class TestDeficit:
     def test_matches_paper_closed_form(self):
         p = params_for(1e-2, 1e-2)
-        got = energy_momentum_deficit(gaussian_spectral_density(p))
+        got = integrate_observables(p).deficit
         assert got == pytest.approx(closed_deficit(p), rel=1e-3, abs=0)
 
     def test_deficit_positive(self):
         p = params_for(1e-2, 1e-2)
-        assert energy_momentum_deficit(gaussian_spectral_density(p)) > 0.0
+        assert integrate_observables(p).deficit > 0.0
 
     def test_deficit_shrinks_as_inverse_w_squared(self):
         # collinear limit: widen the beam, deficit falls off as 1/w^2 at fixed N
@@ -145,7 +144,7 @@ class TestDeficit:
         for ratio in (1e-2, 5e-3, 2.5e-3):
             p = params_for(ratio, 1e-2)
             n = closed_energy(p) / (HBAR * p.omega0)
-            d = energy_momentum_deficit(gaussian_spectral_density(p))
+            d = integrate_observables(p).deficit
             deficits.append(d / n)  # per photon, N-independent comparison
         assert deficits[0] / deficits[1] == pytest.approx(4.0, rel=1e-3, abs=0)
         assert deficits[1] / deficits[2] == pytest.approx(4.0, rel=1e-3, abs=0)
@@ -155,31 +154,29 @@ class TestMassQuadrature:
     def test_matches_closed_form_within_paraxial_tolerance(self):
         for rw, rt in ((1e-2, 1e-2), (3e-3, 3e-3)):
             p = params_for(rw, rt)
-            m = pulse_mass_quadrature(gaussian_spectral_density(p))
+            m = pulse_mass_quadrature(p)
             tol = 5.0 * (rw**2 + rt**2)
             assert abs(m / closed_mass(p) - 1.0) < tol
 
     def test_amplitude_scaling(self):
         p1 = params_for(1e-2, 1e-2, e0=1.0)
         p2 = params_for(1e-2, 1e-2, e0=2.0)
-        m1 = pulse_mass_quadrature(gaussian_spectral_density(p1))
-        m2 = pulse_mass_quadrature(gaussian_spectral_density(p2))
+        m1 = pulse_mass_quadrature(p1)
+        m2 = pulse_mass_quadrature(p2)
         assert m2 / m1 == pytest.approx(4.0, rel=1e-9, abs=0)
 
     def test_mass_to_energy_ratio(self):
         p = params_for(1e-2, 1e-2)
-        d = gaussian_spectral_density(p)
-        m = pulse_mass_quadrature(d)
-        obs = integrate_observables(d)
+        m = pulse_mass_quadrature(p)
+        obs = integrate_observables(p)
         assert m / (obs.energy / C**2) == pytest.approx(
             LAM / (2 * math.pi * p.w), rel=1e-4, abs=0)
 
     def test_consistency_with_subtraction_form(self):
         # lambda/w = 1e-2 leaves ~10 digits in the naive subtraction
         p = params_for(1e-2, 1e-2)
-        d = gaussian_spectral_density(p)
-        obs = integrate_observables(d)
-        m = pulse_mass_quadrature(d)
+        obs = integrate_observables(p)
+        m = pulse_mass_quadrature(p)
         sub = obs.energy**2 - (C * obs.pz) ** 2
         assert sub == pytest.approx((m * C**2) ** 2, rel=1e-9, abs=0)
 
@@ -190,16 +187,16 @@ class TestPulseAsPhotonEnsemble:
 
     @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.3])
     def test_node_ensemble_mass_is_the_quadrature_mass(self, ratio):
-        d = gaussian_spectral_density(params_for(ratio, ratio))
-        kp, kz, k, _, d3k = spectral._nodes(d.kz_min, d.kz_max, d.kperp_max, 128)
+        p = params_for(ratio, ratio)
+        kp, kz, k, _, d3k = spectral._nodes(*spectral._window(p), 128)
         # each node at azimuth 0 and pi, with half of its rho d3k photons
-        half = (0.5 * d.amplitude(kp, kz) * d3k).ravel().tolist()
+        half = (0.5 * spectral._density(p, kp, kz, k) * d3k).ravel().tolist()
         modes = []
-        for p, z, norm, w in zip(kp.ravel().tolist(), kz.ravel().tolist(),
+        for x, z, norm, w in zip(kp.ravel().tolist(), kz.ravel().tolist(),
                                  k.ravel().tolist(), half):
-            modes += [PhotonMode(C * norm, (s * p / norm, 0.0, z / norm), w) for s in (1.0, -1.0)]
+            modes += [PhotonMode(C * norm, (s * x / norm, 0.0, z / norm), w) for s in (1.0, -1.0)]
         m = invariant_mass(total_four_momentum(PhotonEnsemble(modes)))
-        assert m == pytest.approx(pulse_mass_quadrature(d), rel=1e-12, abs=0)
+        assert m == pytest.approx(pulse_mass_quadrature(p), rel=1e-12, abs=0)
 
 
 class TestFieldAt:
@@ -336,27 +333,27 @@ class TestOneAmplitude:
         # rho = tau^2 |E0 w^2 exp(-k_perp^2 w^2/2) (c^2 k_z/omega)
         #       exp(-(omega - omega0)^2 tau^2/2)|^2/(8 pi hbar omega), written out
         p = params_for(0.05, 0.05, e0=3.0)
-        d = gaussian_spectral_density(p)
+        kz_min, kz_max, kperp_max = spectral._window(p)
         rng = np.random.default_rng(3)
-        kp = rng.uniform(0.0, d.kperp_max, 200)
-        kz = rng.uniform(d.kz_min, d.kz_max, 200)
+        kp = rng.uniform(0.0, kperp_max, 200)
+        kz = rng.uniform(kz_min, kz_max, 200)
         omega = C * np.hypot(kz, kp)
         expected = (p.tau**2 / (8 * math.pi * HBAR * omega)
                     * (p.e0 * p.w**2) ** 2 * np.exp(-kp**2 * p.w**2)
                     * (C**2 * kz / omega) ** 2 * np.exp(-((omega - p.omega0) * p.tau) ** 2))
-        np.testing.assert_allclose(d.amplitude(kp, kz), expected, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rho(p, kp, kz), expected, rtol=1e-14, atol=0)
 
     def test_density_and_field_share_the_amplitude(self, monkeypatch):
         calls = []
         amplitude = spectral._amplitude
 
-        def counting(params, kperp, kz):
+        def counting(params, kperp, kz, k):
             calls.append(kperp.shape)
-            return amplitude(params, kperp, kz)
+            return amplitude(params, kperp, kz, k)
 
         monkeypatch.setattr(spectral, "_amplitude", counting)
         p = params_for(1e-3, 1e-2)
-        gaussian_spectral_density(p).amplitude(np.ones(3), np.ones(3))
+        rho(p, np.ones(3), np.ones(3))
         assert calls == [(3,)]
         field_profile(p, 0.0, 0.0, [0.0])
         assert calls[1:3] == [(32, 32), (64, 64)]
@@ -365,44 +362,52 @@ class TestOneAmplitude:
         # (e0 w^2)^2 overflows: the oracle fails at once, not on infinities
         p = GaussianPulseParams(1e150, 1e-12, 1e5, 2 * math.pi * C / LAM)
         with pytest.raises(FloatingPointError):
-            pulse_mass_quadrature(gaussian_spectral_density(p))
+            pulse_mass_quadrature(p)
 
 
 class TestQuadratureEngine:
-    def test_oracle_evaluates_amplitude_once_per_level(self):
+    def test_oracle_evaluates_amplitude_once_per_level(self, monkeypatch):
         # one 4-component pass: 8, 16, 32 and 64 nodes per axis
-        d = gaussian_spectral_density(params_for(1e-3, 1e-2))
         calls = []
+        amplitude = spectral._amplitude
 
-        def counting(kp, kz):
-            calls.append(kp.shape)
-            return d.amplitude(kp, kz)
+        def counting(params, kperp, kz, k):
+            calls.append(kperp.shape)
+            return amplitude(params, kperp, kz, k)
 
-        pulse_mass_quadrature(dataclasses.replace(d, amplitude=counting))
+        monkeypatch.setattr(spectral, "_amplitude", counting)
+        pulse_mass_quadrature(params_for(1e-3, 1e-2))
         assert calls == [(8, 8), (16, 16), (32, 32), (64, 64)]
 
     def test_deficit_is_a_component_of_the_one_pass(self):
-        d = gaussian_spectral_density(params_for(1e-2, 1e-2))
-        obs = integrate_observables(d)
-        assert obs.deficit == energy_momentum_deficit(d)
-        assert pulse_mass_quadrature(d) == invariant_mass(
+        p = params_for(1e-2, 1e-2)
+        obs = integrate_observables(p)
+        assert pulse_mass_quadrature(p) == invariant_mass(
             FourMomentum(obs.energy / C, 0.0, 0.0, obs.pz, obs.deficit / C))
 
     def test_node_limit_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_QUAD_MAX_N", 16)
-        d = gaussian_spectral_density(params_for(1e-3, 1e-2))
         with pytest.raises(QuadratureError, match="unresolved at 16 nodes"):
-            integrate_observables(d)
+            integrate_observables(params_for(1e-3, 1e-2))
 
-    def test_field_shares_the_density_window(self):
+    def test_field_shares_the_density_window(self, monkeypatch):
         # a pulse of a few cycles clips the k_z window at zero for both
         p = GaussianPulseParams(1.0, 0.3 * LAM / C, 1.0, 2 * math.pi * C / LAM)
+        windows = []
+
+        class FirstLevel(Exception):
+            pass
+
+        def first_level(*args):
+            windows.append(args[:3])
+            raise FirstLevel
+
+        monkeypatch.setattr(spectral, "_nodes", first_level)
+        for driver in (integrate_observables, lambda p: field_profile(p, 0.0, 0.0, [0.0])):
+            with pytest.warns(ForwardClipWarning), pytest.raises(FirstLevel):
+                driver(p)
         with pytest.warns(ForwardClipWarning):
-            d = gaussian_spectral_density(p)
-        with pytest.warns(ForwardClipWarning):
-            field_profile(p, 0.0, 0.0, [0.0])[0]
-        with pytest.warns(ForwardClipWarning):
-            assert spectral._window(p) == (d.kz_min, d.kz_max, d.kperp_max)
+            assert windows == [spectral._window(p)] * 2
 
 
 class TestNonFiniteInputs:
@@ -412,13 +417,13 @@ class TestNonFiniteInputs:
         window = [1.0, 2.0, 1.0]  # kz_min, kz_max, kperp_max
         window[slot] = bad
         with pytest.raises(ValueError, match="finite"):
-            SpectralDensity(lambda kp, kz: kz, *window)
+            spectral._support(*window)
 
     @pytest.mark.parametrize("window", [(2.0, 2.0, 1.0), (2.0, 1.0, 1.0),
                                         (1.0, 2.0, 0.0), (1.0, 2.0, -1.0)])
     def test_degenerate_support_window(self, window):
         with pytest.raises(ValueError, match="degenerate support window"):
-            SpectralDensity(lambda kp, kz: kz, *window)
+            spectral._support(*window)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", ["r_perp", "z"])
@@ -433,15 +438,32 @@ class TestNonFiniteInputs:
             field_profile(p, at["r_perp"], at["z"], [0.0])
 
 
+# pulses whose k_z window collapses to a point, overflows, or reaches k_z = 0
+WINDOW_FAULTS = [({"tau": 1000.0}, "degenerate support window"),
+                 ({"tau": 1e-320}, "support window must be finite"),
+                 ({"omega0": 1e-320}, "support must lie in the forward half-space k_z > 0")]
+
+
+class TestOneWindow:
+    @pytest.mark.filterwarnings("ignore::pulsemass.spectral.ForwardClipWarning")
+    @pytest.mark.parametrize("change, message", WINDOW_FAULTS, ids=["tau=1000", "tau=1e-320",
+                                                                    "omega0=1e-320"])
+    def test_oracle_and_field_refuse_the_same_window(self, change, message):
+        p = dataclasses.replace(params_for(1e-3, 1e-2), **change)
+        for driver in (integrate_observables, lambda p: field_profile(p, 0.0, 0.0, [0.0])):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                driver(p)
+
+
 class TestRefineFailsAtOnce:
     def test_field_overflow_stops_at_the_first_level(self, monkeypatch):
         # e0 w^2 overflows to inf: the first level already holds inf - inf
         calls = []
         amplitude = spectral._amplitude
 
-        def counting(params, kperp, kz):
+        def counting(params, kperp, kz, k):
             calls.append(kperp.shape)
-            return amplitude(params, kperp, kz)
+            return amplitude(params, kperp, kz, k)
 
         monkeypatch.setattr(spectral, "_amplitude", counting)
         p = GaussianPulseParams(1e300, 1e-12, 1e5, 2 * math.pi * C / LAM)
@@ -472,9 +494,8 @@ class TestNodes:
 
     def test_drivers_take_the_measure_from_nodes_alone(self, monkeypatch):
         p = params_for(1e-2, 1e-2)
-        d = gaussian_spectral_density(p)
         times = np.linspace(-1.5 * p.tau, 1.5 * p.tau, 5)
-        obs = dataclasses.astuple(integrate_observables(d))
+        obs = dataclasses.astuple(integrate_observables(p))
         field = field_profile(p, 0.5 * p.w, 0.0, times)
         nodes = spectral._nodes
 
@@ -483,7 +504,7 @@ class TestNodes:
             return (*rest, 2.0 * d3k)
 
         monkeypatch.setattr(spectral, "_nodes", doubled_measure)
-        assert dataclasses.astuple(integrate_observables(d)) == tuple(2.0 * x for x in obs)
+        assert dataclasses.astuple(integrate_observables(p)) == tuple(2.0 * x for x in obs)
         assert np.array_equal(field_profile(p, 0.5 * p.w, 0.0, times), 2.0 * field)
 
 
