@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -20,6 +21,14 @@ from . import analytic, experiment
 from .constants import C
 from .pulse import GaussianPulseParams, QuadratureError, validity_ratio
 from .units import convert_units
+
+# numpy's OpenBLAS starts a thread per core as it loads, which costs a cold
+# array command ~70 ms of CPU; only Gauss-Legendre nodes from 1024 on run
+# faster with it.  One thread unless the user set a count in a variable
+# OpenBLAS reads.  Nothing above loads numpy.
+if not any(os.environ.get(name) for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 SCHEMA_VERSION = "1"
 

@@ -57,7 +57,10 @@ class FourMomentum:
         if not e >= 0.0:
             raise ValueError("four-momentum energy must be nonnegative")
         e, x = math.frexp(e)  # e/c = e 2^x, e in [0.5, 1)
-        px, py, pz = math.ldexp(px, -x), math.ldexp(py, -x), math.ldexp(pz, -x)
+        try:
+            px, py, pz = math.ldexp(px, -x), math.ldexp(py, -x), math.ldexp(pz, -x)
+        except OverflowError:  # a component past 2^x times the float range: |p| >> e/c
+            raise ValueError("spacelike four-momentum: corrupted ensemble") from None
         e2, p2 = e * e, px * px + py * py + pz * pz
         # frexp(0) gives no scale, so an e/c of 0 leaves p unscaled and p^2
         # may underflow to 0: any nonzero component is spacelike

@@ -710,10 +710,11 @@ class TestImportGraph:
 
 
 _NUMPY_IMPORT_GRAPH_CHILD = textwrap.dedent("""
-    import contextlib, io, json, sys
+    import contextlib, io, json, os, sys
     import pulsemass, pulsemass.cli
     from pulsemass import cli
-    loaded = {"import": "numpy" in sys.modules}
+    loaded = {"import": "numpy" in sys.modules,
+              "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
     def run(*argv):
         out = io.StringIO()
@@ -734,8 +735,21 @@ _NUMPY_IMPORT_GRAPH_CHILD = textwrap.dedent("""
     run("mass-pulse", "--config", pulse, "--oracle")
     run("density", "--config", density)
     run("field-profile", "--config", field)
+    if sys.platform.startswith("linux"):
+        with open("/proc/self/status") as fh:
+            loaded["threads"] = next(line.split()[1] for line in fh
+                                     if line.startswith("Threads:"))
     print(json.dumps(loaded))
 """)
+
+# The variables OpenBLAS reads for its thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _env_without_blas_threads(**extra) -> dict:
+    src = os.path.dirname(os.path.dirname(pulsemass.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    return {**env, "PYTHONPATH": src, **extra}
 
 
 class TestNumpyImportGraph:
@@ -760,13 +774,26 @@ class TestNumpyImportGraph:
             write_config(tmp_path, "density.json", {"input": str(csv_path)}),
             write_config(tmp_path, "field.json", FIELD_CGS),
         ]
-        src = os.path.dirname(os.path.dirname(pulsemass.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_GRAPH_CHILD, *configs],
-                              capture_output=True, text=True, env=env, timeout=300)
+                              capture_output=True, text=True,
+                              env=_env_without_blas_threads(), timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"import": False, "closed forms": False,
-                                           "csv after closed forms": False}
+        loaded = json.loads(proc.stdout)
+        # one BLAS thread: the array commands leave the process single-threaded
+        if sys.platform.startswith("linux"):
+            assert loaded.pop("threads") == "1"
+        assert loaded == {"import": False, "OPENBLAS_NUM_THREADS": "1",
+                          "closed forms": False, "csv after closed forms": False}
+
+    @pytest.mark.parametrize("var", _BLAS_THREAD_VARS)
+    def test_a_chosen_blas_thread_count_is_kept(self, var):
+        child = ("import json, os, pulsemass.cli; "
+                 "print(json.dumps([os.environ.get(v) for v in %r]))" % (_BLAS_THREAD_VARS,))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=_env_without_blas_threads(**{var: "2"}), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            "2" if v == var else None for v in _BLAS_THREAD_VARS]
 
 
 # The stdout of six commands on the configs above, captured once and

@@ -436,6 +436,15 @@ class TestInvariantsAndHelpers:
         with pytest.raises(ValueError, match="^spacelike four-momentum"):
             FourMomentum(*components)
 
+    # scaling the component by 2^-x of a faint e/c overflows: far outside the light cone
+    @pytest.mark.parametrize("components", [(1e-300, 0.0, 0.0, 1e10),
+                                            (5e-324, 1e300, 0.0, 0.0),
+                                            (5e-324, 0.0, -1e300, 0.0)],
+                             ids=["pz-1e10", "px-1e300", "py-minus-1e300"])
+    def test_component_past_the_scaled_range_is_refused(self, components):
+        with pytest.raises(ValueError, match="^spacelike four-momentum: corrupted ensemble$"):
+            FourMomentum(*components)
+
     @pytest.mark.parametrize("slot", [1, 2, 3], ids=["px", "py", "pz"])
     def test_zero_energy_with_a_faint_component_is_refused(self, slot):
         # e/c = 0 gives no scale, and the unscaled 1e-200^2 underflows to 0
