@@ -344,6 +344,8 @@ def cmd_field_profile(cfg: dict, args) -> None:
             f"'n_t' must be an integer from 2 to {MAX_FIELD_SAMPLES}, got {n_t!r}")
     if t_max <= t_min:
         raise ConfigError("need t_max > t_min")
+    if not t_max - t_min < math.inf:  # linspace would overflow and call the times non-finite
+        raise ConfigError(f"t_max - t_min overflows: t_min = {t_min!r}, t_max = {t_max!r}")
     n_t = int(n_t)
     times = np.linspace(t_min, t_max, n_t)
     values = spectral.field_profile(params, r_perp, z, times)

@@ -59,10 +59,15 @@ class DelayReport:
 
 
 def spdc_speed(k_perp_sq_mean: float, k_abs: float) -> float:
-    """Axial propagation speed v = c(1 - <k_perp^2>/(2 k^2)) in cm/s."""
+    """Axial propagation speed v = c(1 - <k_perp^2>/(2 k^2)) in cm/s, with k^2
+    and <k_perp^2> times 2^-2x, x = frexp(k)[1]: the unscaled bits where k^2 is normal."""
     if not (0.0 <= k_perp_sq_mean < math.inf and 0.0 < k_abs < math.inf):
         raise ValueError("need finite <k_perp^2> >= 0 and |k| > 0")
-    ratio = k_perp_sq_mean / (2.0 * k_abs * k_abs)
+    k, x = math.frexp(k_abs)
+    try:
+        ratio = math.ldexp(k_perp_sq_mean, -2 * x) / (2.0 * k * k)
+    except OverflowError:  # <k_perp^2> past 2^2x times the float range: >> k^2
+        ratio = math.inf
     if ratio >= 1.0:
         raise ValueError("k_perp^2 >= 2 k^2: outside paraxial validity")
     return C * (1.0 - ratio)

@@ -34,13 +34,12 @@ class FourMomentum:
     """A four-momentum (e/c, px, py, pz), its deficit e/c - |p| and its
     p_abs = |p|; all in g*cm/s.
 
-    |p| = sqrt(px^2 + py^2 + pz^2) is formed once, here, on the components
-    times 2^-x, x = frexp(e/c)[1], so e/c is in [0.5, 1), and scaled back:
-    exact, so the bits are the unscaled formula's wherever its squares are
-    normal, and scale with the momentum from the faintest finite one to the
-    largest.  The spacelike test and a hand-built momentum's default deficit
-    use that |p|; total_four_momentum sums the deficit per mode, so it does
-    not cancel.
+    The one place that checks and scales a four-momentum: |p| is formed
+    on the components times 2^-x, x = frexp(e/c)[1], so e/c is in [0.5, 1),
+    and scaled back: exact, so the bits are the unscaled formula's wherever
+    its squares are normal.  A given deficit (total_four_momentum sums it
+    per mode, so it does not cancel) must be within SPACELIKE_TOL * e/c of
+    e/c - |p|, the default.  The readers use the scaled values kept here.
     """
 
     e_over_c: float
@@ -50,10 +49,9 @@ class FourMomentum:
     deficit: float | None = None
 
     def __post_init__(self):
-        e, px, py, pz = self.e_over_c, self.px, self.py, self.pz
-        if not (math.isfinite(e) and math.isfinite(px) and math.isfinite(py)
-                and math.isfinite(pz)):
-            raise FloatingPointError(f"non-finite four-momentum component in {(e, px, py, pz)}")
+        e, px, py, pz, d = self.e_over_c, self.px, self.py, self.pz, self.deficit
+        if not all(map(math.isfinite, (e, px, py, pz, 0.0 if d is None else d))):
+            raise FloatingPointError(f"non-finite four-momentum component in {(e, px, py, pz, d)}")
         if not e >= 0.0:
             raise ValueError("four-momentum energy must be nonnegative")
         e, x = math.frexp(e)  # e/c = e 2^x, e in [0.5, 1)
@@ -67,9 +65,15 @@ class FourMomentum:
         if not e2 - p2 >= -SPACELIKE_TOL * e2 or (e == 0.0 and (px or py or pz)):
             raise ValueError("spacelike four-momentum: corrupted ensemble")
         p_abs = math.sqrt(p2)
+        try:
+            d = e - p_abs if d is None else math.ldexp(d, -x)
+        except OverflowError:  # a deficit past 2^x times the float range: >> e/c
+            d = math.inf
+        if not abs(d - (e - p_abs)) <= SPACELIKE_TOL * e:
+            raise ValueError(f"deficit {self.deficit!r} is not e/c - |p| to SPACELIKE_TOL * e/c")
         _set(self, "p_abs", math.ldexp(p_abs, x))
-        if self.deficit is None:
-            _set(self, "deficit", math.ldexp(e - p_abs, x))
+        _set(self, "deficit", math.ldexp(d, x) if self.deficit is None else self.deficit)
+        _set(self, "_scaled", (x, e, pz, p_abs, d))  # e/c in [0.5, 1), the rest at its scale
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -149,20 +153,15 @@ class BoostFrame:
         return 1.0 / math.sqrt(1.0 - self.beta * self.beta)
 
 
-@np.errstate(over="ignore")
-def _energies(ensemble: PhotonEnsemble) -> np.ndarray:
-    """weight*hbar*omega per mode in erg; overflows to inf as a float would."""
-    if not ensemble.omega.size:
-        raise ValueError("empty ensemble")
-    return ensemble.weight * HBAR * ensemble.omega
-
-
+@np.errstate(over="ignore")  # weight*hbar*omega overflows to inf as a float would
 def total_four_momentum(ensemble: PhotonEnsemble) -> FourMomentum:
     """Weighted component-wise sum of hbar*omega/c * (1, n) over all modes,
     with the deficit e/c - |p| = sum k |n - u|^2/2 about the total-momentum
     axis u (z when p = 0): every term is >= 0, and an error in u enters it
     at second order only."""
-    k = _energies(ensemble) / C
+    if not ensemble.omega.size:
+        raise ValueError("empty ensemble")
+    k = ensemble.weight * HBAR * ensemble.omega / C
     e = math.fsum(k.tolist())
     if not math.isfinite(e):  # the p sums would call inf - inf a ValueError
         raise FloatingPointError("non-finite photon momentum weight*hbar*omega/c")
@@ -175,27 +174,21 @@ def total_four_momentum(ensemble: PhotonEnsemble) -> FourMomentum:
 
 def invariant_mass(p: FourMomentum) -> float:
     """Invariant mass in g, sqrt((e/c + |p|) * deficit)/c: the one mass
-    formula, for photon ensembles and the spectral oracle alike.  It is
-    formed on e/c, |p| and the deficit times the 2^-x of FourMomentum, so
-    that the product does not underflow, and scaled back by 2^x."""
-    e, x = math.frexp(p.e_over_c)
-    s = (e + math.ldexp(p.p_abs, -x)) * math.ldexp(p.deficit, -x)
-    if not math.isfinite(s):
-        raise FloatingPointError(f"non-finite mass^2 {s!r} from four-momentum {p}")
-    if not s >= -SPACELIKE_TOL * (e * e):
-        raise ValueError("spacelike four-momentum: corrupted ensemble")
-    return math.ldexp(math.sqrt(max(s, 0.0)) / C, x)
+    formula, for photon ensembles and the spectral oracle alike, formed at
+    FourMomentum's scale, where the product is finite and does not
+    underflow, and scaled back by 2^x; one below 0 is null."""
+    x, e, _, p_abs, d = p._scaled
+    return math.ldexp(math.sqrt(max((e + p_abs) * d, 0.0)) / C, x)
 
 
 def ensemble_velocity(p: FourMomentum) -> float:
     """Centroid propagation speed v = c^2 <p_z>/<epsilon> in cm/s, formed
-    as c p_z/(e/c) on p_z and e/c times the 2^-x of FourMomentum: the bits
-    of the unscaled quotient, without its overflow of c p_z."""
+    as c p_z/(e/c) on FourMomentum's scaled p_z and e/c: the bits of the
+    unscaled quotient, without its overflow of c p_z."""
     if p.e_over_c <= 0.0:
         raise ValueError("zero-energy four-momentum has no velocity")
-    e, x = math.frexp(p.e_over_c)
-    v = C * math.ldexp(p.pz, -x) / e
-    return max(-C, min(C, v))
+    _, e, pz, _, _ = p._scaled
+    return max(-C, min(C, C * pz / e))
 
 
 def boost_ensemble(ensemble: PhotonEnsemble, frame: BoostFrame) -> PhotonEnsemble:
@@ -222,6 +215,7 @@ def boost_ensemble(ensemble: PhotonEnsemble, frame: BoostFrame) -> PhotonEnsembl
 def rest_frame(p: FourMomentum) -> BoostFrame:
     """Frame in which p_z vanishes; only massive momenta have one.  A deficit
     of a few ulps of e/c is rounding, so such a momentum counts as null."""
-    if p.deficit <= _NULL_DEFICIT * p.e_over_c:
+    _, e, pz, _, d = p._scaled
+    if d <= _NULL_DEFICIT * e:
         raise ValueError("no rest frame for null momentum")
-    return BoostFrame(p.pz / p.e_over_c)
+    return BoostFrame(pz / e)

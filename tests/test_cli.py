@@ -632,6 +632,13 @@ class TestFieldSamples:
         assert not out_path.exists()
         assert err.startswith("numerical error: QuadratureError: ")
 
+    def test_overflowing_time_span_is_config_error(self, tmp_path, capsys):
+        # both times are finite and t_max - t_min is not: one line, no RuntimeWarning
+        cfg = write_config(tmp_path, "c.json", {**FIELD_CGS, "t_min": -1e308, "t_max": 1e308})
+        code, out, err = run_cli(capsys, "field-profile", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err == "config error: t_max - t_min overflows: t_min = -1e+308, t_max = 1e+308\n"
+
     def test_integral_float_n_t_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {**FIELD_CGS, "n_t": 3.0})
         code, out, _ = run_cli(capsys, "field-profile", "--config", cfg)

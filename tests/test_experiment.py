@@ -40,6 +40,23 @@ class TestSpdcSpeed:
         with pytest.raises(ValueError):
             spdc_speed(2.0, 1.0)
 
+    # unscaled, k^2 = 1e-340 underflows to 0 and 1e320 overflows to inf
+    def test_k_squared_below_the_float_range_is_outside_validity(self):
+        with pytest.raises(ValueError, match="^k_perp\\^2 >= 2 k\\^2: outside paraxial validity$"):
+            spdc_speed(1.0, 1e-170)
+        assert spdc_speed(0.0, 1e-170) == C
+
+    def test_k_squared_above_the_float_range_keeps_the_ratio(self):
+        # <k_perp^2>/(2 k^2) = 1e308/(2 1e320) = 5e-13; unscaled it read 0 and gave c
+        assert spdc_speed(1e308, 1e160) == pytest.approx(C * (1 - 5e-13), rel=1e-15, abs=0)
+
+    # at 2^500 the unscaled k^2 ~ 2^1032 overflows; <k_perp^2> ~ 2^1012 does not
+    @pytest.mark.parametrize("scale", [-500, -250, 0, 250, 500])
+    def test_scales_exactly(self, scale):
+        k = OMEGA0 / C
+        v = spdc_speed(1e-6 * k * k, k)
+        assert spdc_speed(math.ldexp(1e-6 * k * k, 2 * scale), math.ldexp(k, scale)) == v
+
 
 class TestCorrespondence:
     def test_massless_ratio_zero(self):

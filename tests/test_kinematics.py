@@ -457,12 +457,26 @@ class TestInvariantsAndHelpers:
         p = FourMomentum(0.0, -0.0, 0.0, -0.0)
         assert (p.p_abs, p.deficit, invariant_mass(p)) == (0.0, 0.0, 0.0)
 
-    def test_invariant_mass_rejects_non_finite(self):
-        class Momentum:  # a duck-typed momentum that skipped validation
-            e_over_c, p_abs = math.inf, math.inf
-            deficit = math.inf
+    # a given deficit is checked where the components are
+    @pytest.mark.parametrize("deficit", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deficit_rejected(self, deficit):
         with pytest.raises(FloatingPointError, match="non-finite"):
-            invariant_mass(Momentum())
+            FourMomentum(1.0, 0.0, 0.0, 0.5, deficit)
+
+    # 1e10 times the 2^996 that scales e/c = 1e-300 overflows; 0.9 is not 1 - 0.5
+    @pytest.mark.parametrize("components", [(1e-300, 0.0, 0.0, 0.0, 1e10),
+                                            (1.0, 0.0, 0.0, 0.5, 0.9)],
+                             ids=["past-the-scaled-range", "off-e-minus-p"])
+    def test_deficit_off_e_minus_p_is_refused(self, components):
+        with pytest.raises(ValueError, match=r"^deficit .* SPACELIKE_TOL \* e/c$"):
+            FourMomentum(*components)
+
+    def test_deficit_within_the_tolerance_is_kept(self):
+        # a deficit a rounding below 0 is held, and its mass is null
+        p = FourMomentum(1.0, 0.0, 0.0, 1.0, -1e-10)
+        assert (p.deficit, invariant_mass(p)) == (-1e-10, 0.0)
+        with pytest.raises(ValueError, match="^no rest frame"):
+            rest_frame(p)
 
     def test_boost_frame_gamma(self):
         frame = BoostFrame(0.6)

@@ -149,6 +149,15 @@ class TestDeficit:
         assert deficits[0] / deficits[1] == pytest.approx(4.0, rel=1e-3, abs=0)
         assert deficits[1] / deficits[2] == pytest.approx(4.0, rel=1e-3, abs=0)
 
+    # FourMomentum holds a given deficit to e/c - p_z within SPACELIKE_TOL
+    # e/c: the oracle's own integral is far inside it, past the limit too
+    @pytest.mark.parametrize("ratio", [1e-3, 0.3, 0.6])
+    def test_is_e_minus_c_pz_to_rounding(self, ratio):
+        obs = integrate_observables(params_for(ratio, 1e-2))
+        e = obs.energy / C
+        assert abs(obs.deficit / C - (e - obs.pz)) <= 1e-12 * e
+        assert pulse_mass_quadrature(params_for(ratio, 1e-2)) > 0.0
+
 
 class TestMassQuadrature:
     def test_matches_closed_form_within_paraxial_tolerance(self):
