@@ -23,9 +23,9 @@ from .pulse import GaussianPulseParams, QuadratureError, validity_ratio
 from .units import convert_units
 
 # numpy's OpenBLAS starts a thread per core as it loads, which costs a cold
-# array command ~70 ms of CPU; only Gauss-Legendre nodes from 1024 on run
-# faster with it.  One thread unless the user set a count in a variable
-# OpenBLAS reads.  Nothing above loads numpy.
+# array command ~70 ms of CPU; no kernel here runs faster with it (the
+# spectral nodes stop at 256 per axis).  One thread unless the user set a
+# count in a variable OpenBLAS reads.  Nothing above loads numpy.
 if not any(os.environ.get(name) for name in
            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -37,9 +37,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# Upper bound on field-profile's n_t.  A sample costs ~0.07 ms on a 2-vCPU
+# Upper bound on field-profile's n_t.  A sample costs ~0.12 ms on a 2-vCPU
 # Xeon where the refinement stops at 64 nodes per axis (a pulse within a
-# few tau of t = z/c) and up to 64x that at the 512-node limit.
+# few tau of t = z/c) and up to 17x that at the 256-node cap.
 MAX_FIELD_SAMPLES = 10_000
 
 _DENSITY_HEADER = ["x", "y", "z", "t", "Ex", "Ey", "Ez", "Hx", "Hy", "Hz"]

@@ -55,6 +55,8 @@ class FourMomentum:
         if not e >= 0.0:
             raise ValueError("four-momentum energy must be nonnegative")
         e, x = math.frexp(e)  # e/c = e 2^x, e in [0.5, 1)
+        # a subnormal component is good to 2^-1074 = 2^(-1074 - x) e/c: allow 2^10
+        tol = SPACELIKE_TOL + math.ldexp(1.0, -1064 - x)
         try:
             px, py, pz = math.ldexp(px, -x), math.ldexp(py, -x), math.ldexp(pz, -x)
         except OverflowError:  # a component past 2^x times the float range: |p| >> e/c
@@ -62,14 +64,14 @@ class FourMomentum:
         e2, p2 = e * e, px * px + py * py + pz * pz
         # frexp(0) gives no scale, so an e/c of 0 leaves p unscaled and p^2
         # may underflow to 0: any nonzero component is spacelike
-        if not e2 - p2 >= -SPACELIKE_TOL * e2 or (e == 0.0 and (px or py or pz)):
+        if not e2 - p2 >= -tol * e2 or (e == 0.0 and (px or py or pz)):
             raise ValueError("spacelike four-momentum: corrupted ensemble")
         p_abs = math.sqrt(p2)
         try:
             d = e - p_abs if d is None else math.ldexp(d, -x)
         except OverflowError:  # a deficit past 2^x times the float range: >> e/c
             d = math.inf
-        if not abs(d - (e - p_abs)) <= SPACELIKE_TOL * e:
+        if not abs(d - (e - p_abs)) <= tol * e:
             raise ValueError(f"deficit {self.deficit!r} is not e/c - |p| to SPACELIKE_TOL * e/c")
         _set(self, "p_abs", math.ldexp(p_abs, x))
         _set(self, "deficit", math.ldexp(d, x) if self.deficit is None else self.deficit)

@@ -3,9 +3,10 @@ quadrature: total energy, momentum, photon number, invariant mass, and the
 boundary-field reconstruction.
 
 The quadrature keeps the exact (c^2 k_z/omega_k) Jacobian and the exact
-dispersion omega_k = c*sqrt(k_z^2 + k_perp^2), so it serves as the
-un-approximated oracle against which the closed paraxial forms in
-``pulsemass.analytic`` are checked.
+dispersion omega_k = c|k| on one rule in the shell coordinates |k| and k_perp
+(_nodes), which holds the photon shell at any lambda/w and lambda/(c tau), so
+it serves as the un-approximated oracle against which the closed paraxial
+forms in ``pulsemass.analytic`` are checked.
 """
 from __future__ import annotations
 
@@ -23,24 +24,21 @@ from .pulse import GaussianPulseParams, QuadratureError, validity_ratio  # noqa:
 
 
 class ForwardClipWarning(UserWarning):
-    """The k_z > 0 clip discards non-negligible spectral weight."""
+    """The shell rule drops nodes of |k| <= 0 that hold non-negligible weight."""
 
 
-# Spectral windows extend to +-6 standard deviations of the respective
-# Gaussian factors; the discarded tails are ~exp(-36).
-_WINDOW_SIGMAS = 6.0
+# s w and y = (|k| - k0) c tau run over [0, _Y] and [-_Y, _Y], where the
+# amplitude's exp(-s^2 w^2/2) and exp(-y^2/2) have fallen to exp(-36).
+_Y = 6.0 * math.sqrt(2.0)
 
-# The oracle doubles nodes per axis from _QUAD_BASE_N until two levels agree
-# to _QUAD_REL_TOL in every observable, at most _QUAD_MAX_N.
+# Both drivers double the nodes per axis from their base count until two
+# levels agree, at most _MAX_N.  The oracle asks _QUAD_REL_TOL of every
+# observable, the boundary field _FIELD_ABS_TOL * e0 at every time
+# (criterion 10 asks for 1e-4 * e0); field time chunks hold _FIELD_CHUNK phases.
+_MAX_N = 256
 _QUAD_BASE_N = 8
-_QUAD_MAX_N = 4096
 _QUAD_REL_TOL = 1e-10
-
-# Boundary-field refinement: nodes per axis double from _FIELD_BASE_N until
-# successive levels agree to _FIELD_ABS_TOL * e0 (criterion 10 asks for
-# 1e-4 * e0), at most _FIELD_MAX_N; time chunks hold _FIELD_CHUNK phases.
 _FIELD_BASE_N = 32
-_FIELD_MAX_N = 512
 _FIELD_ABS_TOL = 1e-9
 _FIELD_CHUNK = 1 << 18
 
@@ -98,91 +96,81 @@ class EnergyMomentum:
     deficit: float  # epsilon - c*p_z, integrated directly
 
 
-def _window(params: GaussianPulseParams) -> tuple[float, float, float]:
-    """(kz_min, kz_max, kperp_max): k_z in k0 +- _WINDOW_SIGMAS/(c tau),
-    clipped at 1e-9 k0, and k_perp up to _WINDOW_SIGMAS/w; the one spectral
-    window of the oracle and the field, checked by _support."""
+def _rule(params: GaussianPulseParams) -> tuple[float, float, float]:
+    """(k0, c tau, s_max): the shell rule's centre, its |k| scale and its
+    k_perp range, the one spectral description of the oracle and the field."""
     k0 = params.omega0 / C
-    dk = _WINDOW_SIGMAS / (C * params.tau)
-    kz_lo = k0 - dk
-    if kz_lo <= 0.0:
-        # weight of the k_z Gaussian exp(-(kz-k0)^2 (c tau)^2) below zero
-        lost = 0.5 * math.erfc(k0 * C * params.tau)
-        if lost > 1e-12:
-            warnings.warn(
-                f"k_z window clipped at zero; {lost:.3e} of the spectral weight "
-                "violates the forward-propagation assumption (pulse too short "
-                "or too wide)", ForwardClipWarning)
-        kz_lo = 1e-9 * k0
-    return _support(kz_lo, k0 + dk, _WINDOW_SIGMAS / params.w)
+    # weight of the density's exp(-y^2) below u = 0, where nodes are dropped
+    lost = 0.5 * math.erfc(k0 * C * params.tau)
+    if lost > 1e-12:
+        warnings.warn(
+            f"nodes of |k| <= 0 dropped; {lost:.3e} of the spectral weight "
+            "violates the forward-propagation assumption (pulse too short "
+            "or too wide)", ForwardClipWarning)
+    return k0, C * params.tau, _Y / params.w
 
 
-def _support(kz_min: float, kz_max: float, kperp_max: float) -> tuple[float, float, float]:
-    """The window, once it is finite, forward and of nonzero extent: a pulse
-    of extreme tau or omega0 gives one that is not."""
-    if not all(map(math.isfinite, (kz_min, kz_max, kperp_max))):
+def _support(k0: float, u_min: float, u_max: float, s_max: float) -> None:
+    """Refuse a rule whose extreme nodes are not finite, whose centre k0 is
+    not forward or which has no extent: a pulse of extreme tau or omega0."""
+    if not all(map(math.isfinite, (u_min, u_max, s_max))):
         raise ValueError("support window must be finite")
-    if kz_min <= 0.0:
+    if k0 <= 0.0:
         raise ValueError("support must lie in the forward half-space k_z > 0")
-    if kz_max <= kz_min or kperp_max <= 0.0:
+    if u_max <= u_min or s_max <= 0.0:
         raise ValueError("degenerate support window")
-    return kz_min, kz_max, kperp_max
 
 
-def _amplitude(params: GaussianPulseParams, kperp, kz, k):
-    """Spectral field amplitude of the Gaussian boundary pulse at nodes of
-    norm k = |k|,
-
-    a(k) = E0 w^2 exp(-k_perp^2 w^2/2) * (c^2 k_z/omega_k)
-           * exp(-(omega_k - omega0)^2 tau^2/2),
-
-    shared by the photon density and the boundary-field reconstruction.
-    """
-    e0, tau, w, omega0 = params.e0, params.tau, params.w, params.omega0
-    omega = C * k
-    return (e0 * w * w * np.exp(-kperp * kperp * w * w / 2.0)
-            * (C * C * kz / omega)
-            * np.exp(-((omega - omega0) * tau) ** 2 / 2.0))
+def _amplitude(params: GaussianPulseParams, s, kz, u):
+    """Spectral field amplitude of the boundary pulse at k_perp = s, k_z, |k| = u,
+    a(k) = E0 w^2 exp(-s^2 w^2/2) (c^2 k_z/omega_k) exp(-y^2/2), y = (omega_k -
+    omega0) tau, less the rule's weight exp(-y^2/2); shared by density and field."""
+    e0, w = params.e0, params.w
+    return e0 * w * w * np.exp(-s * s * w * w / 2.0) * (C * kz / u)
 
 
-def _density(params: GaussianPulseParams, kperp, kz, k):
-    """Photon number per unit k^3-volume (polarization summed out),
-    rho(k) = tau^2 a(k)^2/(8 pi hbar omega_k) with a(k) from _amplitude."""
-    a = _amplitude(params, kperp, kz, k)
-    return params.tau * params.tau / (8.0 * math.pi * HBAR * C) * a * a / k
+def _density(params: GaussianPulseParams, s, kz, u, y):
+    """Photon number per unit exp(-y^2/2) d^3k (polarization summed out):
+    rho(k) = tau^2 a(k)^2/(8 pi hbar omega_k) less the rule's weight."""
+    a = _amplitude(params, s, kz, u)
+    return (params.tau * params.tau / (8.0 * math.pi * HBAR * C)
+            * a * a * np.exp(-0.5 * y * y) / u)
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+_legendre = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
-def _grid(a: float, b: float, n: int):
-    x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
-def _nodes(kz_min: float, kz_max: float, kperp_max: float, n: int):
-    """Gauss-Legendre tensor nodes KP, KZ (n x n, k_perp first) over the
-    window, |k|, the dispersion deficit omega_k - c*k_z in its exact,
-    cancellation-free form c*k_perp^2/(|k| + k_z), and d3k, each node's share
-    of d^3k = 2 pi k_perp dk_perp dk_z: the one home of the measure."""
-    kz, wz = _grid(kz_min, kz_max, n)
-    kp, wp = _grid(0.0, kperp_max, n)
-    KP, KZ = np.meshgrid(kp, kz, indexing="ij")
-    K = np.hypot(KZ, KP)
-    return KP, KZ, K, C * KP * KP / (K + KZ), np.outer(2.0 * math.pi * kp * wp, wz)
+def _nodes(k0: float, ct: float, s_max: float, n: int):
+    """The shell rule at n nodes per axis: u = k0 + y/(c tau) at n evenly
+    spaced y over [-_Y, _Y] of weight h exp(-y^2/2), h = 2 _Y/(n - 1) (the
+    trapezoidal rule: error ~exp(-2 pi^2/h^2), Trefethen & Weideman 2014), and
+    s on Gauss-Legendre nodes over [0, s_max], capped at the largest u.  Nodes
+    with s >= u (u <= 0 among them) are dropped.  Returns, for the kept nodes
+    in s-major order, s, k_z = sqrt((u - s)(u + s)), u, y, the deficit
+    omega_k - c k_z as c s^2/(u + k_z), and d3k, each node's share of
+    exp(-y^2/2) d^3k with d^3k = 2 pi s ds du u/k_z: the one home of the
+    measure."""
+    x, ws = _legendre(n)
+    y = np.linspace(-_Y, _Y, n)
+    wu = (2.0 * _Y / (n - 1)) * np.exp(-0.5 * y * y)
+    dy = _Y / ct  # in Python floats: an overflow is inf, not an error
+    _support(k0, k0 - dy, k0 + dy, s_max)
+    s_max = min(s_max, k0 + dy)
+    s, u = 0.5 * s_max * (x + 1.0), k0 + y / ct
+    i, j = np.nonzero(s[:, None] < u)
+    S, U = s[i], u[j]
+    KZ = np.sqrt((U - S) * (U + S))
+    d3k = (math.pi * s_max / ct) * S * ws[i] * wu[j] * U / KZ
+    return S, KZ, U, y[j], C * S * S / (U + KZ), d3k
 
 
 @np.errstate(over="raise", invalid="raise")
-def _refine(estimate: Callable[[int], np.ndarray], n: int, n_max: int,
+def _refine(estimate: Callable[[int], np.ndarray], n: int,
             rtol: float, atol: float) -> np.ndarray:
-    """estimate(n) for n doubling up to n_max >= 2n, until two successive
-    levels agree to atol + rtol*|cur| in every component; an overflow or
-    invalid operation raises FloatingPointError at once."""
+    """estimate(n) for n doubling up to _MAX_N >= 2n until two levels agree to
+    atol + rtol*|cur| in each component; overflow or NaN is FloatingPointError."""
     cur = estimate(n)
-    while 2 * n <= n_max:
+    while 2 * n <= _MAX_N:
         n *= 2
         prev, cur = cur, estimate(n)
         delta, tol = np.abs(cur - prev), atol + rtol * np.abs(cur)
@@ -196,29 +184,24 @@ def _refine(estimate: Callable[[int], np.ndarray], n: int, n_max: int,
 
 def integrate_observables(params: GaussianPulseParams) -> EnergyMomentum:
     """Energy, z-momentum, photon number and the deficit epsilon - c*p_z of
-    the pulse by one adaptive k-space quadrature of _density over _window.
+    the pulse by one adaptive quadrature of _density on the shell rule.
 
     The transverse momentum components vanish identically by azimuthal
     symmetry and are never computed.  The deficit integrand omega_k - c*k_z
     is _nodes' cancellation-free deficit.
     """
-    window = _window(params)
+    rule = _rule(params)
 
     def estimate(n):
-        KP, KZ, k, deficit, d3k = _nodes(*window, n)
-        photons = _density(params, KP, KZ, k) * d3k
+        S, KZ, U, Y, deficit, d3k = _nodes(*rule, n)
+        photons = _density(params, S, KZ, U, Y) * d3k
 
-        def total(integrand):
-            # fixed contraction order keeps the result deterministic per level
-            return np.einsum("ij,ij->", integrand, photons)
+        # numpy's pairwise sums, each within a few ulp, one integrand at a time
+        return np.array([(HBAR * (C * U) * photons).sum(), (HBAR * KZ * photons).sum(),
+                         photons.sum(), (HBAR * deficit * photons).sum()])
 
-        # each integrand is contracted as soon as it is built, so only one
-        # is held at a time
-        return np.array([total(HBAR * (C * k)), total(HBAR * KZ), photons.sum(),
-                         total(HBAR * deficit)])
-
-    totals = _refine(estimate, _QUAD_BASE_N, _QUAD_MAX_N,
-                     _QUAD_REL_TOL, _QUAD_REL_TOL * np.finfo(float).tiny)
+    totals = _refine(estimate, _QUAD_BASE_N, _QUAD_REL_TOL,
+                     _QUAD_REL_TOL * np.finfo(float).tiny)
     return EnergyMomentum(*map(float, totals))
 
 
@@ -234,12 +217,13 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
     """Scalar field strength (statvolt/cm) at (r_perp, z) and each of the
     times, z >= 0: the forward-propagating k-integral of
     J0(k_perp r_perp) a(k) sin(omega t - k_z z) tau/(2 pi sqrt(2 pi)) d^3k on
-    Gauss-Legendre nodes, one node count for all times.  J0 is _j0 in numpy:
-    the midpoint rule on Bessel's integral, Hankel's expansion past _J0_X.
+    the shell rule, one node count for all times.  J0 is _j0 in numpy: the
+    midpoint rule on Bessel's integral, Hankel's expansion past _J0_X.
 
-    Starting from _FIELD_BASE_N nodes per axis, the count doubles until two
-    successive levels agree to _FIELD_ABS_TOL * e0 at every time, up to
-    _FIELD_MAX_N; beyond that QuadratureError is raised.
+    From _FIELD_BASE_N nodes per axis the count doubles until two levels
+    agree to _FIELD_ABS_TOL * e0 at every time, up to _MAX_N; past that, or
+    for a time too far from z/c, QuadratureError is raised.  A phase that
+    overflows is a FloatingPointError naming the first time it overflows at.
     """
     if not (math.isfinite(r_perp) and math.isfinite(z)):
         raise ValueError("r_perp and z must be finite")
@@ -248,31 +232,45 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    window = _window(params)
+    rule = _rule(params)
 
     def estimate(n):
-        KP, KZ, k, deficit, d3k = _nodes(*window, n)
-        # one J0 per k_perp node, broadcast over k_z
-        static = (_j0(KP[:, :1] * r_perp) * _amplitude(params, KP, KZ, k) * d3k).ravel()
+        S, kz, U, _, deficit, d3k = _nodes(*rule, n)
+        # one J0 per k_perp node: the kept nodes repeat each s
+        s, of_node = np.unique(S, return_inverse=True)
+        static = _j0(s * r_perp)[of_node] * _amplitude(params, S, kz, U) * d3k
         static *= params.tau / (2.0 * math.pi) ** 1.5
-        kz, deficit = KZ.ravel(), deficit.ravel()
         # the phase omega*t - k_z*z as (omega - c k_z) t + k_z (c t - z), whose
-        # spread over the nodes stays small near the pulse, t ~ z/c, out to
-        # the Rayleigh range; times go in chunks of at most _FIELD_CHUNK phases,
-        # each time contracted on its own so that its bits do not depend on
-        # the chunk it falls in (a matrix-vector product's do)
+        # spread over the nodes stays small near t ~ z/c out to the Rayleigh
+        # range; times go in chunks of at most _FIELD_CHUNK phases, each
+        # contracted on its own so its bits do not depend on the chunking
         out = np.empty(len(times))
         step = max(1, _FIELD_CHUNK // len(static))
         for i in range(0, len(times), step):
             t = times[i:i + step, None]
-            phase = t * deficit + (C * t - z) * kz
+            try:
+                phase = t * deficit + (C * t - z) * kz
+            except FloatingPointError:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bad = ~np.isfinite(t * deficit + (C * t - z) * kz).all(axis=1)
+                raise FloatingPointError(
+                    "the phase (omega - c k_z) t + k_z (c t - z) overflows at "
+                    f"t = {float(t[np.argmax(bad), 0])!r} s") from None
             out[i:i + step] = [row @ static for row in np.sin(phase, out=phase)]
         return out
 
     try:
-        return _refine(estimate, _FIELD_BASE_N, _FIELD_MAX_N,
-                       0.0, _FIELD_ABS_TOL * params.e0)
+        field = _refine(estimate, _FIELD_BASE_N, 0.0, _FIELD_ABS_TOL * params.e0)
     except QuadratureError as exc:
         raise QuadratureError(
             f"boundary field {exc} statvolt/cm; |t - z/c| or r_perp too large "
-            "for the spectral window") from None
+            "for the shell rule") from None
+    # the phase turns by (t - z/c)/tau per unit y, sampled twice per turn at
+    # _MAX_N nodes out to `reach`; past it levels can agree on one alias
+    reach = math.pi * (_MAX_N - 1) / (2.0 * _Y)
+    far = np.abs(times - z / C) > reach * params.tau
+    if far.any():
+        raise QuadratureError(
+            f"boundary field unresolved at {_MAX_N} nodes per axis: t = {float(times[far][0])!r}"
+            f" s lies more than {reach:.3g} tau from t = z/c")
+    return field

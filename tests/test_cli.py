@@ -140,7 +140,7 @@ class TestMassPulse:
         assert "--oracle" in err
 
     def test_unresolved_oracle_is_numerical_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(spectral, "_QUAD_MAX_N", 16)
+        monkeypatch.setattr(spectral, "_MAX_N", 16)
         cfg = write_config(tmp_path, "c.json", PULSE_CGS)
         code, out, err = run_cli(capsys, "mass-pulse", "--config", cfg, "--oracle")
         assert code == 3
@@ -631,6 +631,14 @@ class TestFieldSamples:
         assert out == ""
         assert not out_path.exists()
         assert err.startswith("numerical error: QuadratureError: ")
+
+    def test_overflowing_phase_names_the_first_time(self, tmp_path, capsys):
+        # c t overflows: one numerical-error line naming the phase and the time
+        cfg = write_config(tmp_path, "c.json", {**FIELD_CGS, "t_min": 1e300, "t_max": 2e300})
+        code, out, err = run_cli(capsys, "field-profile", "--config", cfg)
+        assert (code, out) == (3, "")
+        assert err == ("numerical error: FloatingPointError: the phase "
+                       "(omega - c k_z) t + k_z (c t - z) overflows at t = 1e+300 s\n")
 
     def test_overflowing_time_span_is_config_error(self, tmp_path, capsys):
         # both times are finite and t_max - t_min is not: one line, no RuntimeWarning

@@ -581,6 +581,14 @@ class TestPhotonModeBuiltOnce:
 
 
 class TestFaintMomenta:
+    @pytest.mark.parametrize("theta", [0.75, 1.0])
+    def test_subnormal_momentum_is_held_to_its_rounding(self, theta):
+        # weight 9.8e-296 gives hbar omega/c = 3.3e-318 g cm/s, subnormal:
+        # p_x and p_z keep ~20 bits, so |p| misses e/c by ~1e-6 of it
+        modes = [PhotonMode(9.4e14, (0.0, 0.0, 1.0), 0.0)] * 5
+        modes.append(PhotonMode.from_angles(9.4e14, theta, 0.0, 9.777781515452674e-296))
+        assert invariant_mass(total_four_momentum(PhotonEnsemble(modes))) == 0.0
+
     def test_mass_scales_exactly_with_the_weights(self):
         # at 2^-900 the weights give e/c ~ 1e-293 g cm/s: (e/c + |p|) * deficit
         # and the squares of |p| would underflow without the rescaling

@@ -51,8 +51,11 @@ def closed_mass(p):
 
 
 def rho(p, kp, kz):
-    """The oracle's photon density at (k_perp, k_z)."""
-    return spectral._density(p, kp, kz, np.hypot(kz, kp))
+    """The oracle's photon density at (k_perp, k_z): _density times the shell
+    rule's weight exp(-y^2/2), y = (|k| - k0) c tau."""
+    k = np.hypot(kz, kp)
+    y = (k - p.omega0 / C) * C * p.tau
+    return spectral._density(p, kp, kz, k, y) * np.exp(-0.5 * y * y)
 
 
 class TestGaussianDensity:
@@ -77,16 +80,20 @@ class TestGaussianDensity:
     def test_forward_clip_warning(self):
         # c*tau = lambda/2: a sizable part of the k_z Gaussian sits below zero
         with pytest.warns(ForwardClipWarning):
-            spectral._window(params_for(1e-4, 2.0))
+            spectral._rule(params_for(1e-4, 2.0))
 
     def test_support_is_forward(self):
-        kz_min, kz_max, _ = spectral._window(params_for(1e-2, 1e-2))
-        assert kz_min > 0.0
-        assert kz_max > kz_min
+        # c tau = lambda/2 again: the nodes of |k| <= 0 are dropped, the kept
+        # ones lie in k_z > 0 and off the cone s = |k|
+        with pytest.warns(ForwardClipWarning):
+            rule = spectral._rule(params_for(0.3, 2.0))
+        S, KZ, U, _, _, d3k = spectral._nodes(*rule, 64)
+        assert 0 < len(S) < 64 * 64
+        assert (KZ > 0.0).all() and (S < U).all() and (d3k > 0.0).all()
 
     def test_rejects_backward_support(self):
         with pytest.raises(ValueError, match="forward half-space"):
-            spectral._support(-1.0, 1.0, 1.0)
+            spectral._support(0.0, -1.0, 1.0, 1.0)
 
 
 class TestIntegrateObservables:
@@ -116,7 +123,11 @@ class TestIntegrateObservables:
     def test_against_scipy_dblquad(self):
         # independent route: adaptive scipy quadrature of the same integrand
         p = params_for(3e-2, 3e-2)
-        kz_min, kz_max, kperp_max = spectral._window(p)
+        # k_perp to 6/w and k_z over k0 +- 6/(c tau), widened below by the
+        # shell's k_perp^2/(2 k0): exp(-36) tails of the density on every side
+        k0, kperp_max = p.omega0 / C, 6.0 / p.w
+        kz_min = k0 - 6.0 / (C * p.tau) - kperp_max**2 / k0
+        kz_max = k0 + 6.0 / (C * p.tau)
 
         def integrand(kp, kz):
             omega = C * math.hypot(kz, kp)
@@ -190,6 +201,49 @@ class TestMassQuadrature:
         assert sub == pytest.approx((m * C**2) ** 2, rel=1e-9, abs=0)
 
 
+# lambda/w x lambda/(c tau) down to the quasi-monochromatic corner, where
+# (lambda/w)^2 >> lambda/(c tau) puts the photon shell k_z ~ k0 - k_perp^2/(2 k0)
+# many spectral widths below k0
+SHELL_GRID = [(rw, rt) for rw in (1e-3, 1e-2, 0.1, 0.3, 0.6)
+              for rt in (1e-9, 1e-6, 1e-4, 1e-2, 0.3)]
+
+
+class TestShellRule:
+    @pytest.mark.parametrize("rw, rt", SHELL_GRID)
+    def test_mass_within_the_paraxial_bound(self, monkeypatch, rw, rt):
+        # The closed form's relative error in the paraxial model is
+        # (5/32 pi^2) r_w^2 - (3/16 pi^2) r_t^2 + O(r^4), so it lies inside
+        # (r_w^2 + r_t^2)/(4 pi^2); the oracle must converge within 64 nodes
+        monkeypatch.setattr(spectral, "_MAX_N", 64)
+        p = params_for(rw, rt)
+        deviation = pulse_mass_quadrature(p) / closed_mass(p) - 1.0
+        assert abs(deviation) <= (rw**2 + rt**2) / (4 * math.pi**2)
+
+
+class TestShellEdge:
+    """Past lambda/w ~ 1 the amplitude reaches the shell's edge k_perp = |k|;
+    the rule's k_perp range stops at its largest |k|, so nodes remain."""
+
+    @pytest.mark.parametrize("rt", [1e-6, 1e-2])
+    def test_oracle_past_the_edge_is_unresolved(self, rt):
+        # the density ends in a kink at k_perp = |k| that the Legendre nodes
+        # do not resolve to 1e-10: an error, never a mass from no nodes
+        p = params_for(200.0, rt)
+        assert len(spectral._nodes(*spectral._rule(p), 8)[0]) > 0
+        with pytest.raises(QuadratureError, match="unresolved at 256 nodes per axis"):
+            pulse_mass_quadrature(p)
+
+    def test_field_of_a_sub_wavelength_waist(self):
+        # lambda/w = 1000: only k_perp < |k| ~ k0 propagates, so on axis the
+        # boundary field keeps the share 1 - exp(-(k0 w)^2/2) of its peak
+        p = params_for(1000.0, 1e-6)
+        period = 2 * math.pi / p.omega0
+        ts = np.array([0.25, 0.75, 1.25]) * period
+        share = -math.expm1(-(p.omega0 / C * p.w) ** 2 / 2)
+        exact = p.e0 * share * np.exp(-ts * ts / (2 * p.tau**2)) * np.sin(p.omega0 * ts)
+        assert np.max(np.abs(field_profile(p, 0.0, 0.0, ts) - exact)) <= 1e-9 * p.e0
+
+
 class TestPulseAsPhotonEnsemble:
     """The oracle's nodes are a weighted photon ensemble: its mass, by the
     one mass formula, is the quadrature mass."""
@@ -197,12 +251,11 @@ class TestPulseAsPhotonEnsemble:
     @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.3])
     def test_node_ensemble_mass_is_the_quadrature_mass(self, ratio):
         p = params_for(ratio, ratio)
-        kp, kz, k, _, d3k = spectral._nodes(*spectral._window(p), 128)
+        kp, kz, k, y, _, d3k = spectral._nodes(*spectral._rule(p), 128)
         # each node at azimuth 0 and pi, with half of its rho d3k photons
-        half = (0.5 * spectral._density(p, kp, kz, k) * d3k).ravel().tolist()
+        half = (0.5 * spectral._density(p, kp, kz, k, y) * d3k).tolist()
         modes = []
-        for x, z, norm, w in zip(kp.ravel().tolist(), kz.ravel().tolist(),
-                                 k.ravel().tolist(), half):
+        for x, z, norm, w in zip(kp.tolist(), kz.tolist(), k.tolist(), half):
             modes += [PhotonMode(C * norm, (s * x / norm, 0.0, z / norm), w) for s in (1.0, -1.0)]
         m = invariant_mass(total_four_momentum(PhotonEnsemble(modes)))
         assert m == pytest.approx(pulse_mass_quadrature(p), rel=1e-12, abs=0)
@@ -245,10 +298,33 @@ class TestFieldAt:
             field_profile(p, 0.0, -1.0, [0.0])[0]
 
     def test_unresolved_field_raises(self):
-        # c t = 1e6 c tau: the phase across the spectral window is ~1e7 rad
+        # c t = 1e6 c tau: the phase across the spectral Gaussian is ~1e6 rad.
+        # Every level up to the one cap of 256 nodes per axis runs, none of
+        # them with a non-finite node (a RuntimeWarning would fail the test)
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
-        with pytest.raises(QuadratureError, match="unresolved"):
+        with pytest.raises(QuadratureError, match="unresolved at 256 nodes per axis"):
             field_profile(p, 0.0, 0.0, [1e-6])[0]
+
+    @pytest.mark.parametrize("tau, w", [(1e-12, 1.0), (1e-10, 1e-3)])
+    def test_samples_out_to_40_tau_resolve(self, tau, w):
+        # the boundary field is e0 exp(-t^2/2 tau^2) sin(omega0 t), below
+        # exp(-200) e0 from 20 tau on; at the Rayleigh range the pulse is
+        # as short, t - z/c counted from its arrival
+        p = GaussianPulseParams(1.0, tau, w, 2 * math.pi * C / LAM)
+        lags = np.array([-40.0, -30.0, -20.0, 20.0, 30.0, 40.0]) * tau
+        for z in (0.0, p.omega0 / C * w * w):
+            assert np.max(np.abs(field_profile(p, 0.5 * w, z, z / C + lags))) <= 1e-9 * p.e0
+
+    @pytest.mark.parametrize("lag", [60.0, 720.0])
+    def test_samples_past_the_reach_are_refused(self, lag):
+        # 256 evenly spaced |k| nodes sample the phase twice per turn out to
+        # 47.2 tau from t = z/c.  At 60 tau the levels agree on ~0 by chance;
+        # at 720 tau the 32- and 64-node levels alias the phase alike
+        p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
+        t = lag * p.tau
+        message = f"unresolved at 256 nodes per axis: t = {t!r} s lies more than 47.2 tau"
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            field_profile(p, 0.0, 0.0, [0.0, t])
 
     def test_far_propagation_resolved(self):
         # z = 1e4 c tau: the phase is taken relative to t - z/c, so the pulse
@@ -264,6 +340,17 @@ class TestFieldAt:
                  * np.sin(p.omega0 * s + math.atan(z / z_r)) / math.hypot(1.0, z / z_r))
         assert np.max(np.abs(vals - exact)) <= 1e-5 * p.e0
 
+    def test_long_pulse_boundary_field_on_axis(self):
+        # tau = 100 ps, w = 10 um, lambda = 1 um: (lambda/w)^2 = 1e-2 is far
+        # above lambda/(c tau) = 3.3e-5, so the photon shell k_z ~ k0 -
+        # k_perp^2/(2 k0) lies 1.6e3/(c tau) below k0
+        p = GaussianPulseParams(1.0, 1e-10, 1e-3, 2 * math.pi * C / LAM)
+        period = 2 * math.pi / p.omega0
+        ts = np.concatenate([np.array([0.25, 1.25, 100.25]) * period,
+                             np.linspace(-1.5 * p.tau, 1.5 * p.tau, 7) + 0.25 * period])
+        exact = p.e0 * np.exp(-ts * ts / (2 * p.tau**2)) * np.sin(p.omega0 * ts)
+        assert np.max(np.abs(field_profile(p, 0.0, 0.0, ts) - exact)) <= 1e-6 * p.e0
+
     def test_non_finite_time_rejected(self):
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         with pytest.raises(ValueError, match="finite"):
@@ -274,14 +361,14 @@ class TestFieldAt:
         assert field_profile(p, 0.0, 0.0, np.array([])).shape == (0,)
 
     def test_criterion_10_converges_within_128_nodes(self, monkeypatch):
-        grid = spectral._grid
+        levels = spectral._nodes
         nodes = []
 
-        def counting_grid(a, b, n):
-            nodes.append(n)
-            return grid(a, b, n)
+        def counting_nodes(*args):
+            nodes.append(args[-1])
+            return levels(*args)
 
-        monkeypatch.setattr(spectral, "_grid", counting_grid)
+        monkeypatch.setattr(spectral, "_nodes", counting_nodes)
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         for r in np.linspace(0.0, 1.5 * p.w, 5):
             field_profile(p, float(r), 0.0, np.linspace(-1.5 * p.tau, 1.5 * p.tau, 5))
@@ -340,17 +427,23 @@ class TestParams:
 class TestOneAmplitude:
     def test_density_is_the_squared_amplitude(self):
         # rho = tau^2 |E0 w^2 exp(-k_perp^2 w^2/2) (c^2 k_z/omega)
-        #       exp(-(omega - omega0)^2 tau^2/2)|^2/(8 pi hbar omega), written out
+        #       exp(-y^2/2)|^2/(8 pi hbar omega), y = (omega - omega0) tau,
+        # written out; _density leaves out the rule's weight exp(-y^2/2)
         p = params_for(0.05, 0.05, e0=3.0)
-        kz_min, kz_max, kperp_max = spectral._window(p)
+        _, ct, kperp_max = spectral._rule(p)
         rng = np.random.default_rng(3)
         kp = rng.uniform(0.0, kperp_max, 200)
-        kz = rng.uniform(kz_min, kz_max, 200)
-        omega = C * np.hypot(kz, kp)
-        expected = (p.tau**2 / (8 * math.pi * HBAR * omega)
-                    * (p.e0 * p.w**2) ** 2 * np.exp(-kp**2 * p.w**2)
-                    * (C**2 * kz / omega) ** 2 * np.exp(-((omega - p.omega0) * p.tau) ** 2))
-        np.testing.assert_allclose(rho(p, kp, kz), expected, rtol=1e-14, atol=0)
+        y = rng.uniform(-6.0, 6.0, 200)
+        k = p.omega0 / C + y / ct
+        kz = np.sqrt(k * k - kp * kp)
+        omega = C * k
+        # each exponent in _amplitude's order of operations, so both sides
+        # round the arguments of exp alike
+        a = (p.e0 * p.w**2 * np.exp(-kp * kp * p.w * p.w / 2)
+             * (C**2 * kz / omega) * np.exp(-y * y / 2))
+        expected = p.tau**2 / (8 * math.pi * HBAR * omega) * a**2
+        got = spectral._density(p, kp, kz, k, y) * np.exp(-0.5 * y * y)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
     def test_density_and_field_share_the_amplitude(self, monkeypatch):
         calls = []
@@ -365,7 +458,7 @@ class TestOneAmplitude:
         rho(p, np.ones(3), np.ones(3))
         assert calls == [(3,)]
         field_profile(p, 0.0, 0.0, [0.0])
-        assert calls[1:3] == [(32, 32), (64, 64)]
+        assert calls[1:3] == [(32 * 32,), (64 * 64,)]
 
     def test_amplitude_overflow_is_an_arithmetic_error(self):
         # (e0 w^2)^2 overflows: the oracle fails at once, not on infinities
@@ -376,7 +469,7 @@ class TestOneAmplitude:
 
 class TestQuadratureEngine:
     def test_oracle_evaluates_amplitude_once_per_level(self, monkeypatch):
-        # one 4-component pass: 8, 16, 32 and 64 nodes per axis
+        # one 4-component pass: 8, 16, 32 and 64 nodes per axis, none dropped
         calls = []
         amplitude = spectral._amplitude
 
@@ -386,7 +479,7 @@ class TestQuadratureEngine:
 
         monkeypatch.setattr(spectral, "_amplitude", counting)
         pulse_mass_quadrature(params_for(1e-3, 1e-2))
-        assert calls == [(8, 8), (16, 16), (32, 32), (64, 64)]
+        assert calls == [(8 * 8,), (16 * 16,), (32 * 32,), (64 * 64,)]
 
     def test_deficit_is_a_component_of_the_one_pass(self):
         p = params_for(1e-2, 1e-2)
@@ -395,12 +488,12 @@ class TestQuadratureEngine:
             FourMomentum(obs.energy / C, 0.0, 0.0, obs.pz, obs.deficit / C))
 
     def test_node_limit_raises(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_QUAD_MAX_N", 16)
+        monkeypatch.setattr(spectral, "_MAX_N", 16)
         with pytest.raises(QuadratureError, match="unresolved at 16 nodes"):
             integrate_observables(params_for(1e-3, 1e-2))
 
     def test_field_shares_the_density_window(self, monkeypatch):
-        # a pulse of a few cycles clips the k_z window at zero for both
+        # a pulse of a few cycles drops the nodes of |k| <= 0 for both
         p = GaussianPulseParams(1.0, 0.3 * LAM / C, 1.0, 2 * math.pi * C / LAM)
         windows = []
 
@@ -416,23 +509,23 @@ class TestQuadratureEngine:
             with pytest.warns(ForwardClipWarning), pytest.raises(FirstLevel):
                 driver(p)
         with pytest.warns(ForwardClipWarning):
-            assert windows == [spectral._window(p)] * 2
+            assert windows == [spectral._rule(p)] * 2
 
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", range(3))
     def test_support_window_must_be_finite(self, slot, bad):
-        window = [1.0, 2.0, 1.0]  # kz_min, kz_max, kperp_max
+        window = [1.0, 2.0, 1.0]  # the extreme |k| nodes and the k_perp range
         window[slot] = bad
         with pytest.raises(ValueError, match="finite"):
-            spectral._support(*window)
+            spectral._support(1.5, *window)
 
     @pytest.mark.parametrize("window", [(2.0, 2.0, 1.0), (2.0, 1.0, 1.0),
                                         (1.0, 2.0, 0.0), (1.0, 2.0, -1.0)])
     def test_degenerate_support_window(self, window):
         with pytest.raises(ValueError, match="degenerate support window"):
-            spectral._support(*window)
+            spectral._support(1.5, *window)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", ["r_perp", "z"])
@@ -447,7 +540,8 @@ class TestNonFiniteInputs:
             field_profile(p, at["r_perp"], at["z"], [0.0])
 
 
-# pulses whose k_z window collapses to a point, overflows, or reaches k_z = 0
+# pulses whose |k| nodes collapse to a point or overflow, or whose carrier
+# k0 underflows to zero
 WINDOW_FAULTS = [({"tau": 1000.0}, "degenerate support window"),
                  ({"tau": 1e-320}, "support window must be finite"),
                  ({"omega0": 1e-320}, "support must lie in the forward half-space k_z > 0")]
@@ -478,28 +572,36 @@ class TestRefineFailsAtOnce:
         p = GaussianPulseParams(1e300, 1e-12, 1e5, 2 * math.pi * C / LAM)
         with pytest.raises(FloatingPointError):
             field_profile(p, 0.0, 0.0, np.linspace(-1e-12, 1e-12, 3))
-        assert calls == [(32, 32)]
+        assert calls == [(32 * 32,)]
 
 
 class TestNodes:
     def test_deficit_is_exact_near_the_axis(self):
         # k_perp/k_z down to ~1e-9: c(|k| - k_z) would lose every digit
-        KP, KZ, _, deficit, _ = spectral._nodes(6e4, 7e4, 6e-5, 4)
+        KP, KZ, _, _, deficit, _ = spectral._nodes(6.5e4, 1e-3, 6e-5, 4)
         with mpmath.workdps(50):
             for kp, kz, got in zip(KP.ravel(), KZ.ravel(), deficit.ravel()):
                 kp, kz = mpmath.mpf(float(kp)), mpmath.mpf(float(kz))
                 exact = mpmath.mpf(C) * (mpmath.sqrt(kz * kz + kp * kp) - kz)
                 assert abs(got - exact) <= 4e-16 * exact
 
-    @pytest.mark.parametrize("window", [(1.0, 2.0, 1.0), (6e4, 7e4, 6e-5), (1e-5, 3e5, 40.0)])
+    # (k0, c tau, s_max), each with every node kept
+    @pytest.mark.parametrize("window", [(1.0, 100.0, 0.5), (6e4, 3e-2, 6e-5), (6e4, 1e-3, 40.0)])
     def test_d3k_integrates_the_window_exactly(self, window):
-        # 8 Gauss-Legendre nodes per axis are exact for these low-degree integrands
-        kz_min, kz_max, kperp_max = window
-        KP, KZ, _, _, d3k = spectral._nodes(*window, 8)
-        volume = math.pi * kperp_max**2 * (kz_max - kz_min)
-        assert d3k.sum() == pytest.approx(volume, rel=1e-14, abs=0)
-        assert (KZ * d3k).sum() == pytest.approx(volume * (kz_min + kz_max) / 2, rel=1e-14, abs=0)
-        assert (KP**2 * d3k).sum() == pytest.approx(volume * kperp_max**2 / 2, rel=1e-14, abs=0)
+        # d3k k_z/u = 2 pi s ds du exp(-y^2/2): 32 nodes per axis are exact
+        # for polynomials in s of degree up to 63, and the trapezoidal rule in y
+        # takes exp(-y^2/2) times a polynomial in y to rounding
+        _, ct, s_max = window
+        S, KZ, U, Y, _, d3k = spectral._nodes(*window, 32)
+        assert len(S) == 32 * 32
+        flat = d3k * KZ / U
+        volume = math.pi * s_max**2 * math.sqrt(2 * math.pi) / ct
+        assert flat.sum() == pytest.approx(volume, rel=1e-14, abs=0)
+        assert (S**2 * flat).sum() == pytest.approx(volume * s_max**2 / 2, rel=1e-14, abs=0)
+        assert (Y**2 * flat).sum() == pytest.approx(volume, rel=1e-14, abs=0)
+        assert (Y**2 * S**3 * flat).sum() == pytest.approx(
+            volume * 2 * s_max**3 / 5, rel=1e-14, abs=0)
+        assert abs((Y**3 * S * flat).sum()) <= 1e-14 * volume * s_max
 
     def test_drivers_take_the_measure_from_nodes_alone(self, monkeypatch):
         p = params_for(1e-2, 1e-2)
@@ -522,14 +624,14 @@ class TestFieldChunks:
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         times = np.linspace(-1.5 * p.tau, 1.5 * p.tau, 7)
         whole = field_profile(p, 0.3, 0.0, times)
-        grid = spectral._grid
+        levels = spectral._nodes
         nodes = []
 
-        def counting_grid(a, b, n):
-            nodes.append(n)
-            return grid(a, b, n)
+        def counting_nodes(*args):
+            nodes.append(args[-1])
+            return levels(*args)
 
-        monkeypatch.setattr(spectral, "_grid", counting_grid)
+        monkeypatch.setattr(spectral, "_nodes", counting_nodes)
         monkeypatch.setattr(spectral, "_FIELD_CHUNK", 2 * 64 * 64)
         chunked = field_profile(p, 0.3, 0.0, times)
         # the last level has 64^2 nodes, so two times per chunk: four chunks
@@ -613,7 +715,8 @@ class TestJ0:
         monkeypatch.setattr(spectral, "_j0", recording_j0)
         p = GaussianPulseParams(1.0, 1e-12, 1.0, 2 * math.pi * C / LAM)
         field_profile(p, -0.75, 0.0, np.linspace(-1.5 * p.tau, 1.5 * p.tau, 5))
-        assert shapes and all(shape[1] == 1 for shape in shapes)
+        # 32 and 64 k_perp nodes, not one J0 per node of the rule
+        assert shapes == [(32,), (64,)]
 
     # k_perp r reaches 1.8 and 30: both branches
     @pytest.mark.parametrize("r_perp", [0.3, 5.0])
