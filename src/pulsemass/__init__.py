@@ -10,8 +10,8 @@ _OWNER = {name: module for module, names in (
                    "ensemble_velocity invariant_mass rest_frame total_four_momentum"),
     ("spectral", "EnergyMomentum ForwardClipWarning field_profile integrate_observables "
                  "pulse_mass_quadrature"),
-    ("analytic", "ParaxialError ParaxialWarning PulseSummary mass_from_energy "
-                 "mass_from_photon_number pulse_energy summarize w_limit_scaling"),
+    ("analytic", "ParaxialError ParaxialWarning PulseSummary mass_and_speed_deficit "
+                 "mass_from_energy pulse_energy summarize w_limit_scaling"),
     ("density", "FieldSample mass_density mass_density_array mass_density_invariant_form"),
     ("experiment", "DelayReport ExperimentConfig GeometryWarning channel_delay "
                    "kperp_ratio_to_mass mass_kperp_correspondence spdc_speed"),

@@ -1,6 +1,6 @@
 """Closed-form paraxial results for diffracting Gaussian pulses: energy,
-photon number, invariant mass (three equivalent forms), speed deficit,
-rest-frame energy, and the wide-beam limiting scalings.
+photon number, the (energy, q) -> (mass, c - v) relation every closed form
+goes through, rest-frame energy, and the wide-beam limiting scalings.
 
 Valid when lambda/w and lambda/(c*tau) are small; outside that regime use
 the quadrature oracle in ``pulsemass.spectral``.
@@ -30,7 +30,8 @@ ERROR_RATIO = 0.5
 @dataclass(frozen=True)
 class PulseSummary:
     """Paraxial pulse observables; rest_energy = mass*c^2 and
-    speed_deficit/c = mass^2 c^4/(2 energy^2) hold by construction."""
+    speed_deficit = c q/2, q = (lambda/(2 pi w))^2 = (mass c^2/energy)^2,
+    hold by construction."""
 
     energy: float         # erg
     photon_count: float
@@ -64,30 +65,31 @@ def pulse_energy(params: GaussianPulseParams) -> float:
     return energy
 
 
-def speed_deficit(mass: float, energy: float) -> float:
-    """c - v = c (m c^2)^2/(2 energy^2) in cm/s."""
-    mc2 = mass * C * C
-    try:
-        dv = C * (mc2 * mc2) / (2.0 * energy * energy)
-    except ZeroDivisionError:
-        raise FloatingPointError(f"mass = {mass:.6g} g, energy = {energy:.6g} erg: energy^2 "
-                                 "underflows, so c - v = c (m c^2)^2/(2 energy^2) is undefined") from None
-    if not (dv < math.inf and energy * energy < math.inf):
-        raise OverflowError(f"mass = {mass:.6g} g, energy = {energy:.6g} erg: "
-                            "c - v = c (m c^2)^2/(2 energy^2) overflows")
-    return dv
+def mass_and_speed_deficit(energy: float, q: float) -> tuple[float, float]:
+    """The one link between mass and slowing, q = <k_perp^2>/k^2 = (m c^2/energy)^2:
+    m = energy sqrt(q)/c^2 in g and, to leading order, c - v = c q/2 in cm/s,
+    for energy >= 0 in erg and q >= 0.  c - v depends on q alone."""
+    mass, deficit = energy * math.sqrt(q) / (C * C), C * q / 2.0
+    if not (mass < math.inf and deficit < math.inf):
+        raise OverflowError(f"energy = {energy:.6g} erg, q = {q:.6g}: m = energy sqrt(q)/c^2 "
+                            "or c - v = c q/2 is out of floating-point range")
+    return mass, deficit
+
+
+def _waist_q(lam_over_w: float) -> float:
+    """q = (lambda/w)^2/(4 pi^2) = 1/(k0 w)^2 of a Gaussian waist w."""
+    return lam_over_w * lam_over_w / (4.0 * math.pi * math.pi)
 
 
 def _closed_forms(params: GaussianPulseParams) -> PulseSummary:
     """summarize without the paraxial check; pulse_energy's range check covers e0^2."""
     energy = pulse_energy(params)
-    e0 = params.e0
-    mass = math.sqrt(math.pi) * params.tau * params.w * (e0 * e0) / (8.0 * params.omega0)
+    mass, deficit = mass_and_speed_deficit(energy, _waist_q(validity_ratio(params)[0]))
     return PulseSummary(
         energy=energy,
         photon_count=energy / (HBAR * params.omega0),
         mass=mass,
-        speed_deficit=speed_deficit(mass, energy),
+        speed_deficit=deficit,
         rest_energy=mass * C * C,
         wavelength=params.wavelength,
     )
@@ -104,16 +106,7 @@ def mass_from_energy(energy: float, lam: float, w: float) -> float:
     if not (0.0 <= energy < math.inf and 0.0 < lam < math.inf and 0.0 < w < math.inf):
         raise ValueError("energy must be finite and nonnegative, lambda and w "
                          "finite and strictly positive")
-    return energy * lam / (2.0 * math.pi * C * C * w)
-
-
-def mass_from_photon_number(n: float, omega0: float, w: float) -> float:
-    """m = N hbar omega0/(2 pi c^2) * lambda/w, in g."""
-    if not 0.0 <= n < math.inf:
-        raise ValueError("photon number must be finite and nonnegative")
-    if not 0.0 < omega0 < math.inf:
-        raise ValueError("omega0 must be finite and strictly positive")
-    return mass_from_energy(n * HBAR * omega0, 2.0 * math.pi * C / omega0, w)
+    return mass_and_speed_deficit(energy, _waist_q(lam / w))[0]
 
 
 def w_limit_scaling(params: GaussianPulseParams, mode: str,
@@ -129,8 +122,6 @@ def w_limit_scaling(params: GaussianPulseParams, mode: str,
         summaries = [_closed_forms(replace(params, w=w)) for w in waists]
         return [(w, s.mass, s.speed_deficit) for w, s in zip(waists, summaries)]
     if mode == "fixed_N":
-        energy = pulse_energy(params)
-        n = energy / (HBAR * params.omega0)
-        masses = [mass_from_photon_number(n, params.omega0, w) for w in waists]
-        return [(w, m, speed_deficit(m, energy)) for w, m in zip(waists, masses)]
+        energy, lam = pulse_energy(params), params.wavelength
+        return [(w, *mass_and_speed_deficit(energy, _waist_q(lam / w))) for w in waists]
     raise ValueError(f"unknown scaling mode {mode!r}")

@@ -330,10 +330,6 @@ def cmd_field_profile(cfg: dict, args) -> None:
     import numpy as np
     from . import spectral
     params = _pulse_params(cfg, args.units)
-    rw, rt = validity_ratio(params)
-    if max(rw, rt) > analytic.WARN_RATIO:
-        warnings.warn(f"paraxial validity marginal (lambda/w = {rw:.3g}, "
-                      f"lambda/ctau = {rt:.3g})", analytic.ParaxialWarning)
     r_perp = _num(cfg, "r_perp", "length", args.units, 0.0)
     z = _num(cfg, "z", "length", args.units, 0.0)
     t_min = _num(cfg, "t_min", "time", args.units)

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import C
-from .analytic import pulse_energy
+from .analytic import mass_and_speed_deficit, pulse_energy
 from .pulse import GaussianPulseParams
 
 
@@ -44,7 +44,10 @@ class ExperimentConfig:
 class DelayReport:
     """Per-channel speed, accumulated spatial delay, and the in-region mass.
 
-    delta_l = 2f(1 - v/c) holds exactly; separated flags delta_l > c*tau.
+    delta_l = 2f(1 - v/c) = w_half^2/f holds exactly at leading order in
+    q = (w_half/f)^2; separated flags delta_l > c*tau.  v_channel, delta_l
+    and m_fdr count the lens angle w_half/f only, not the beam's own
+    divergence, f/L_D times it (see channel_delay).
     gain_over_intrinsic = L_D/f = 2 pi w_half^2/(f lambda); above 1 the
     lenses, not intrinsic divergence, dominate the slow-down.  It is computed
     as written, not as 1/f_over_ld, which rounds differently.
@@ -59,18 +62,18 @@ class DelayReport:
 
 
 def spdc_speed(k_perp_sq_mean: float, k_abs: float) -> float:
-    """Axial propagation speed v = c(1 - <k_perp^2>/(2 k^2)) in cm/s, with k^2
+    """Axial propagation speed v = c - c q/2, q = <k_perp^2>/k^2, in cm/s, with k^2
     and <k_perp^2> times 2^-2x, x = frexp(k)[1]: the unscaled bits where k^2 is normal."""
     if not (0.0 <= k_perp_sq_mean < math.inf and 0.0 < k_abs < math.inf):
         raise ValueError("need finite <k_perp^2> >= 0 and |k| > 0")
     k, x = math.frexp(k_abs)
     try:
-        ratio = math.ldexp(k_perp_sq_mean, -2 * x) / (2.0 * k * k)
+        q = math.ldexp(k_perp_sq_mean, -2 * x) / (k * k)
     except OverflowError:  # <k_perp^2> past 2^2x times the float range: >> k^2
-        ratio = math.inf
-    if ratio >= 1.0:
+        q = math.inf
+    if q >= 2.0:
         raise ValueError("k_perp^2 >= 2 k^2: outside paraxial validity")
-    return C * (1.0 - ratio)
+    return C - mass_and_speed_deficit(0.0, q)[1]  # c - v needs no energy
 
 
 def mass_kperp_correspondence(mass: float, energy: float) -> float:
@@ -89,22 +92,24 @@ def kperp_ratio_to_mass(ratio: float, energy: float) -> float:
         raise ValueError("ratio must lie in [0, 1]")
     if not 0.0 < energy < math.inf:
         raise ValueError("energy must be finite and strictly positive")
-    return energy * math.sqrt(ratio) / (C * C)
+    return mass_and_speed_deficit(energy, ratio)[0]
 
 
 def channel_delay(config: ExperimentConfig) -> DelayReport:
     """Speed, spatial delay and invariant mass inside the 2f region.
 
-    The focused Gaussian beam has <k_perp^2> = (w_half/f)^2 |k|^2, so
-    v = c[1 - (w_half/f)^2/2] and delta_l = 2f(1 - v/c) = w_half^2/f.
+    The focused beam is taken to have <k_perp^2> = (w_half/f)^2 |k|^2, so
+    q = (w_half/f)^2 gives v = c - c q/2, delta_l = 2f(1 - v/c) = f q and
+    m_fdr = energy (w_half/f)/c^2.  That counts the lens angle w_half/f only,
+    not the beam's own divergence 1/(k w_half), which is f/L_D times it;
+    GeometryWarning flags f/L_D >= 0.1, where the latter is no longer small.
     The separation flag uses the Gaussian 1/e half-duration tau (the FWHM
     alternative would be 2*sqrt(ln 2)*tau).
     """
     r = config.w_half / config.f
-    half_deficit = 0.5 * r * r
-    v = C * (1.0 - half_deficit)
-    delta_l = 2.0 * config.f * half_deficit
-    energy = pulse_energy(config.source)
+    q = r * r
+    m_fdr, deficit = mass_and_speed_deficit(pulse_energy(config.source), q)
+    delta_l = config.f * q
     lam = config.source.wavelength
     w_half_sq = config.w_half * config.w_half
     try:
@@ -116,11 +121,10 @@ def channel_delay(config: ExperimentConfig) -> DelayReport:
         warnings.warn(f"f/L_D = {f_over_ld:.3g}: focusing gain not dominant "
                       "over intrinsic diffraction", GeometryWarning)
     return DelayReport(
-        v_channel=v,
+        v_channel=C - deficit,
         delta_l=delta_l,
         separated=delta_l > C * config.source.tau,
-        m_fdr=energy / (C * C) * r,
+        m_fdr=m_fdr,
         f_over_ld=f_over_ld,
         gain_over_intrinsic=2.0 * math.pi * w_half_sq / (config.f * lam),
     )
-

@@ -2,20 +2,29 @@
 
 import dataclasses
 import math
+import re
+import sys
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pulsemass.constants import C, HBAR
 from pulsemass.analytic import (
     ParaxialError,
     ParaxialWarning,
+    mass_and_speed_deficit,
     mass_from_energy,
-    mass_from_photon_number,
     pulse_energy,
-    speed_deficit,
     summarize,
     w_limit_scaling,
+)
+from pulsemass.experiment import (
+    ExperimentConfig,
+    GeometryWarning,
+    channel_delay,
+    mass_kperp_correspondence,
 )
 from pulsemass.kinematics import BoostFrame
 from pulsemass.spectral import GaussianPulseParams
@@ -25,6 +34,12 @@ OMEGA0 = 2 * math.pi * C / LAM
 
 # the paper's worked example: 10 mJ, 1 ps, w = 1 cm, lambda = 1 um
 PAPER_PULSE = GaussianPulseParams.from_energy(1e5, 1e-12, 1.0, OMEGA0)
+
+
+def waist_q(w, lam=LAM):
+    """q = <k_perp^2>/k^2 = (lambda/(2 pi w))^2 of a Gaussian waist."""
+    r = lam / (2 * math.pi * w)
+    return r * r
 
 
 class TestSummarize:
@@ -92,15 +107,14 @@ class TestMassForms:
             s.mass, rel=1e-12, abs=0)
 
     def test_mass_from_photon_number(self):
-        m = mass_from_photon_number(5.0341e16, OMEGA0, 1.0)
+        # the paper's photon-number form m = N hbar omega0/(2 pi c^2) * lambda/w
+        n = 5.0341e16
+        m, _ = mass_and_speed_deficit(n * HBAR * OMEGA0, waist_q(1.0))
         assert m == pytest.approx(1.77e-21, rel=1e-2, abs=0)
-        # consistent with the energy form via epsilon = N hbar omega0
-        n = 3.7e15
-        assert mass_from_photon_number(n, OMEGA0, 1.0) == pytest.approx(
-            mass_from_energy(n * HBAR * OMEGA0, LAM, 1.0), rel=1e-13, abs=0)
+        assert m == pytest.approx(mass_from_energy(n * HBAR * OMEGA0, LAM, 1.0), rel=1e-15, abs=0)
 
     def test_zero_photons_zero_mass(self):
-        assert mass_from_photon_number(0.0, OMEGA0, 1.0) == 0.0
+        assert mass_and_speed_deficit(0.0, waist_q(1.0)) == (0.0, C * waist_q(1.0) / 2)
 
     def test_two_beam_model_coincidence(self):
         # two beams of N/2 photons each at theta = lambda/(2 pi w), i.e.
@@ -109,8 +123,8 @@ class TestMassForms:
         w = 1.0
         theta = LAM / (2 * math.pi * w)
         m_beams = 2 * (n / 2) * HBAR * OMEGA0 / C**2 * math.sin(theta)
-        assert mass_from_photon_number(n, OMEGA0, w) == pytest.approx(
-            m_beams, rel=1e-9, abs=0)
+        m, _ = mass_and_speed_deficit(n * HBAR * OMEGA0, waist_q(w))
+        assert m == pytest.approx(m_beams, rel=1e-9, abs=0)
 
 
 class TestScalingAndRestFrame:
@@ -157,9 +171,11 @@ class TestScalingAndRestFrame:
 
 class TestOneMassFormula:
     def test_photon_number_form_is_the_energy_form(self):
-        n = 5.0341e16
-        assert mass_from_photon_number(n, OMEGA0, 2.0) == mass_from_energy(
-            n * HBAR * OMEGA0, 2 * math.pi * C / OMEGA0, 2.0)
+        # fixed_N holds the photon number, so the energy: each row's mass is
+        # mass_from_energy's at that waist, with no photon-number round trip
+        energy = pulse_energy(PAPER_PULSE)
+        for w, m, _ in w_limit_scaling(PAPER_PULSE, "fixed_N", [0.5, 2.0, 3.0]):
+            assert m == mass_from_energy(energy, PAPER_PULSE.wavelength, w)
 
     def test_fixed_e0_matches_summarize_at_each_waist(self):
         for (w, m, dv), waist in zip(w_limit_scaling(PAPER_PULSE, "fixed_E0", [0.5, 3.0]),
@@ -185,7 +201,10 @@ class TestOneMassFormula:
         waists = [0.3, 0.7, 1.0, 2.5]
         for w, m, dv in w_limit_scaling(PAPER_PULSE, mode, waists):
             at = dataclasses.replace(PAPER_PULSE, w=w) if mode == "fixed_E0" else PAPER_PULSE
-            assert dv == speed_deficit(m, pulse_energy(at))
+            lam_over_w = PAPER_PULSE.wavelength / w
+            q = lam_over_w * lam_over_w / (4.0 * math.pi * math.pi)
+            assert (m, dv) == mass_and_speed_deficit(pulse_energy(at), q)
+            assert dv / C == pytest.approx(waist_q(w) / 2, rel=1e-15, abs=0)
 
     def test_waists_are_returned_as_given(self):
         # a waist is not rebuilt from a factor of the base waist
@@ -204,11 +223,15 @@ class TestNonFiniteArguments:
             mass_from_energy(*args)
 
     @pytest.mark.parametrize("args", [
-        (math.nan, OMEGA0, 1.0), (math.inf, OMEGA0, 1.0), (-1.0, OMEGA0, 1.0),
-        (1e16, math.nan, 1.0), (1e16, 0.0, 1.0), (1e16, OMEGA0, math.nan)])
-    def test_mass_from_photon_number(self, args):
-        with pytest.raises(ValueError, match="finite"):
-            mass_from_photon_number(*args)
+        (math.inf, 0.25), (1e5, math.inf), (0.0, math.inf),
+        (1e308, 1e250),    # m = energy sqrt(q)/c^2 overflows, c q/2 does not
+        (1e-300, 1e299),   # c q/2 overflows, m does not
+        (1e300, 1e300)])
+    def test_mass_and_speed_deficit(self, args):
+        with pytest.raises(OverflowError, match="^" + re.escape(
+                f"energy = {args[0]:.6g} erg, q = {args[1]:.6g}: m = energy sqrt(q)/c^2 "
+                "or c - v = c q/2 is out of floating-point range") + "$"):
+            mass_and_speed_deficit(*args)
 
     @pytest.mark.parametrize("mode", ["fixed_E0", "fixed_N"])
     @pytest.mark.parametrize("waist", [math.nan, math.inf, 0.0, -1.0])
@@ -224,22 +247,66 @@ class TestOverflowNamesTheQuantity:
         with pytest.raises(OverflowError, match="the pulse energy is out of floating-point range"):
             pulse_energy(p)
 
+    # (m c^2)^2 or energy^2 is out of range at these pairs; the kernel forms
+    # neither, so it gives c - v = c q/2 and the mass back
     @pytest.mark.parametrize("mass, energy", [
-        (1e190, 1e220),   # (m c^2)^2 raises
-        (1e-10, 1e160),   # energy^2 is inf, which made c - v a silent 0
+        (1e190, 1e220),   # (m c^2)^2 overflows
+        (1e-10, 1e160),   # energy^2 overflows
         (1e129, 1e150),   # (m c^2)^2 is finite, c (m c^2)^2 is not
     ])
     def test_speed_deficit(self, mass, energy):
-        with pytest.raises(OverflowError, match=r"c - v = c \(m c\^2\)\^2/\(2 energy\^2\)"):
-            speed_deficit(mass, energy)
+        q = mass_kperp_correspondence(mass, energy)
+        m, dv = mass_and_speed_deficit(energy, q)
+        assert dv == C * q / 2.0
+        assert m == pytest.approx(mass, rel=1e-15, abs=0)
 
     def test_in_range_values_are_unchanged(self):
-        mass, energy = 1.7e-21, 1e5
-        mc2 = mass * C * C
-        assert speed_deficit(mass, energy) == C * (mc2 * mc2) / (2.0 * energy * energy)
+        for energy, q in [(1e5, 2.5e-11), (1e-130, 1e-8), (1e300, 0.5), (7.0, 0.0), (0.0, 1.0)]:
+            assert mass_and_speed_deficit(energy, q) == (energy * math.sqrt(q) / (C * C),
+                                                         C * q / 2.0)
         w, e0 = PAPER_PULSE.w, PAPER_PULSE.e0
         assert pulse_energy(PAPER_PULSE) == (math.sqrt(math.pi) * C * PAPER_PULSE.tau
                                              * (w * w) * (e0 * e0) / 8.0)
+
+
+class TestMassSpeedKernel:
+    """Properties of mass_and_speed_deficit over the float range."""
+
+    ENERGY = st.floats(min_value=1e-300, max_value=1e300)
+    Q = st.floats(min_value=0.0, max_value=1.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(energy=ENERGY, q=Q)
+    def test_mass_gives_q_back(self, energy, q):
+        m, _ = mass_and_speed_deficit(energy, q)
+        assume(m >= sys.float_info.min)  # a subnormal mass has lost bits of sqrt(q)
+        assume(m * C * C <= energy)  # refused as heavier than energy/c^2: q within ulps of 1
+        # sqrt, *energy, /c^2 (and c^2's own rounding), then *c, *c, /energy:
+        # seven roundings of sqrt(q), so at most 15 of q with its square
+        back = mass_kperp_correspondence(m, energy)
+        assert abs(back - q) <= 15 * 2.0**-53 * q + 2.0**-1074
+
+    @settings(max_examples=500, deadline=None)
+    @given(energy=ENERGY, q=Q, k=st.integers(min_value=-60, max_value=60))
+    def test_speed_deficit_ignores_the_energy(self, energy, q, k):
+        assume(-1000 < math.frexp(energy)[1] + k < 1000)
+        assert (mass_and_speed_deficit(math.ldexp(energy, k), q)[1]
+                == mass_and_speed_deficit(energy, q)[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(w_half=st.floats(min_value=1e-3, max_value=1e3),
+           ratio=st.floats(min_value=0.02, max_value=0.19))
+    def test_channel_delay_keeps_the_delay_identity(self, w_half, ratio):
+        # below w_half/f ~ 0.016, 1 - v/c itself keeps fewer than 12 digits
+        f = w_half / ratio
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GeometryWarning)
+            report = channel_delay(ExperimentConfig(w_half, f, PAPER_PULSE))
+        assert report.delta_l == pytest.approx(2 * f * (1 - report.v_channel / C),
+                                               rel=1e-12, abs=0)
+        r = w_half / f
+        m, dv = mass_and_speed_deficit(pulse_energy(PAPER_PULSE), r * r)
+        assert (report.m_fdr, report.v_channel, report.delta_l) == (m, C - dv, f * (r * r))
 
 
 class TestSquaresAreProducts:

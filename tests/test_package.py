@@ -20,8 +20,8 @@ EXPORTS = {
     "spectral": ["EnergyMomentum", "ForwardClipWarning", "GaussianPulseParams",
                  "QuadratureError", "field_profile", "integrate_observables",
                  "pulse_mass_quadrature", "validity_ratio"],
-    "analytic": ["ParaxialError", "ParaxialWarning", "PulseSummary", "mass_from_energy",
-                 "mass_from_photon_number", "pulse_energy", "summarize", "w_limit_scaling"],
+    "analytic": ["ParaxialError", "ParaxialWarning", "PulseSummary", "mass_and_speed_deficit",
+                 "mass_from_energy", "pulse_energy", "summarize", "w_limit_scaling"],
     "density": ["FieldSample", "mass_density", "mass_density_array",
                 "mass_density_invariant_form"],
     "experiment": ["DelayReport", "ExperimentConfig", "GeometryWarning", "channel_delay",
