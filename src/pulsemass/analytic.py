@@ -77,8 +77,12 @@ def mass_and_speed_deficit(energy: float, q: float) -> tuple[float, float]:
 
 
 def _waist_q(lam_over_w: float) -> float:
-    """q = (lambda/w)^2/(4 pi^2) = 1/(k0 w)^2 of a Gaussian waist w."""
-    return lam_over_w * lam_over_w / (4.0 * math.pi * math.pi)
+    """q = (lambda/w)^2/(4 pi^2) = 1/(k0 w)^2 of a Gaussian waist w, at most 1."""
+    q = lam_over_w * lam_over_w / (4.0 * math.pi * math.pi)
+    if q > 1.0:
+        raise ValueError(f"lambda/w = {lam_over_w:.6g} > 2 pi: a waist below lambda/(2 pi) "
+                         "gives q > 1, a mass above energy/c^2")
+    return q
 
 
 def _closed_forms(params: GaussianPulseParams) -> PulseSummary:

@@ -80,9 +80,12 @@ def mass_kperp_correspondence(mass: float, energy: float) -> float:
     """<k_perp^2>/|k|^2 = (m c^2/energy)^2 for the matching ensemble."""
     if not (0.0 <= mass < math.inf and 0.0 < energy < math.inf):
         raise ValueError("need finite mass >= 0 and energy > 0")
-    if mass * C * C > energy:
-        raise ValueError("mass c^2 exceeds energy")
     ratio = mass * C * C / energy
+    # from q <= 1 (sqrt(q) <= 1 exactly), m = energy sqrt(q)/c^2 and m c^2/energy
+    # round six times: a ratio up to 1 + 6 2^-53 is the kernel's own mass at q = 1
+    if ratio > 1.0 + 6 * 2.0**-53:
+        raise ValueError("mass c^2 exceeds energy")
+    ratio = min(ratio, 1.0)
     return ratio * ratio
 
 

@@ -31,14 +31,14 @@ class ForwardClipWarning(UserWarning):
 # amplitude's exp(-s^2 w^2/2) and exp(-y^2/2) have fallen to exp(-36).
 _Y = 6.0 * math.sqrt(2.0)
 
-# Both drivers double the nodes per axis from their base count until two
-# levels agree, at most _MAX_N.  The oracle asks _QUAD_REL_TOL of every
-# observable, the boundary field _FIELD_ABS_TOL * e0 at every time
-# (criterion 10 asks for 1e-4 * e0); field time chunks hold _FIELD_CHUNK phases.
+# Both drivers double the nodes per axis from _BASE_N (below 32 the trapezoidal
+# error is 2e-7 or more: no level could stop) until two levels agree, at most
+# _MAX_N.  The oracle asks _QUAD_REL_TOL of every observable, the boundary field
+# _FIELD_ABS_TOL * e0 at every time (criterion 10 asks for 1e-4 * e0); field
+# time chunks hold _FIELD_CHUNK phases.
 _MAX_N = 256
-_QUAD_BASE_N = 8
+_BASE_N = 32
 _QUAD_REL_TOL = 1e-10
-_FIELD_BASE_N = 32
 _FIELD_ABS_TOL = 1e-9
 _FIELD_CHUNK = 1 << 18
 
@@ -98,7 +98,10 @@ class EnergyMomentum:
 
 def _rule(params: GaussianPulseParams) -> tuple[float, float, float]:
     """(k0, c tau, s_max): the shell rule's centre, its |k| scale and its
-    k_perp range, the one spectral description of the oracle and the field."""
+    k_perp range _Y/w capped at the largest |k|, the one spectral description
+    of the oracle and the field, checked once per call.  It refuses extreme
+    |k| nodes k0 -+ _Y/(c tau) or an s_max not finite, k0 <= 0, or |k| nodes
+    that coincide: a pulse of extreme tau, w or omega0."""
     k0 = params.omega0 / C
     # weight of the density's exp(-y^2) below u = 0, where nodes are dropped
     lost = 0.5 * math.erfc(k0 * C * params.tau)
@@ -107,18 +110,15 @@ def _rule(params: GaussianPulseParams) -> tuple[float, float, float]:
             f"nodes of |k| <= 0 dropped; {lost:.3e} of the spectral weight "
             "violates the forward-propagation assumption (pulse too short "
             "or too wide)", ForwardClipWarning)
-    return k0, C * params.tau, _Y / params.w
-
-
-def _support(k0: float, u_min: float, u_max: float, s_max: float) -> None:
-    """Refuse a rule whose extreme nodes are not finite, whose centre k0 is
-    not forward or which has no extent: a pulse of extreme tau or omega0."""
-    if not all(map(math.isfinite, (u_min, u_max, s_max))):
+    ct = C * params.tau
+    dy, s_max = _Y / ct, _Y / params.w  # in Python floats: an overflow is inf, not an error
+    if not all(map(math.isfinite, (k0 - dy, k0 + dy, s_max))):
         raise ValueError("support window must be finite")
     if k0 <= 0.0:
         raise ValueError("support must lie in the forward half-space k_z > 0")
-    if u_max <= u_min or s_max <= 0.0:
+    if k0 + dy <= k0 - dy:
         raise ValueError("degenerate support window")
+    return k0, ct, min(s_max, k0 + dy)
 
 
 def _amplitude(params: GaussianPulseParams, s, kz, u):
@@ -144,18 +144,14 @@ def _nodes(k0: float, ct: float, s_max: float, n: int):
     """The shell rule at n nodes per axis: u = k0 + y/(c tau) at n evenly
     spaced y over [-_Y, _Y] of weight h exp(-y^2/2), h = 2 _Y/(n - 1) (the
     trapezoidal rule: error ~exp(-2 pi^2/h^2), Trefethen & Weideman 2014), and
-    s on Gauss-Legendre nodes over [0, s_max], capped at the largest u.  Nodes
-    with s >= u (u <= 0 among them) are dropped.  Returns, for the kept nodes
-    in s-major order, s, k_z = sqrt((u - s)(u + s)), u, y, the deficit
-    omega_k - c k_z as c s^2/(u + k_z), and d3k, each node's share of
-    exp(-y^2/2) d^3k with d^3k = 2 pi s ds du u/k_z: the one home of the
-    measure."""
+    s on Gauss-Legendre nodes over [0, s_max].  Nodes with s >= u (u <= 0
+    among them) are dropped.  Returns, for the kept nodes in s-major order,
+    s, k_z = sqrt((u - s)(u + s)), u, y, the deficit omega_k - c k_z as
+    c s^2/(u + k_z), and d3k, each node's share of exp(-y^2/2) d^3k with
+    d^3k = 2 pi s ds du u/k_z: the one home of the measure."""
     x, ws = _legendre(n)
     y = np.linspace(-_Y, _Y, n)
     wu = (2.0 * _Y / (n - 1)) * np.exp(-0.5 * y * y)
-    dy = _Y / ct  # in Python floats: an overflow is inf, not an error
-    _support(k0, k0 - dy, k0 + dy, s_max)
-    s_max = min(s_max, k0 + dy)
     s, u = 0.5 * s_max * (x + 1.0), k0 + y / ct
     i, j = np.nonzero(s[:, None] < u)
     S, U = s[i], u[j]
@@ -165,10 +161,11 @@ def _nodes(k0: float, ct: float, s_max: float, n: int):
 
 
 @np.errstate(over="raise", invalid="raise")
-def _refine(estimate: Callable[[int], np.ndarray], n: int,
-            rtol: float, atol: float) -> np.ndarray:
-    """estimate(n) for n doubling up to _MAX_N >= 2n until two levels agree to
-    atol + rtol*|cur| in each component; overflow or NaN is FloatingPointError."""
+def _refine(estimate: Callable[[int], np.ndarray], rtol: float, atol: float) -> np.ndarray:
+    """estimate(n) for n doubling from _BASE_N up to _MAX_N >= 2 _BASE_N until
+    two levels agree to atol + rtol*|cur| in each component; overflow or NaN
+    is FloatingPointError."""
+    n = _BASE_N
     cur = estimate(n)
     while 2 * n <= _MAX_N:
         n *= 2
@@ -200,8 +197,7 @@ def integrate_observables(params: GaussianPulseParams) -> EnergyMomentum:
         return np.array([(HBAR * (C * U) * photons).sum(), (HBAR * KZ * photons).sum(),
                          photons.sum(), (HBAR * deficit * photons).sum()])
 
-    totals = _refine(estimate, _QUAD_BASE_N, _QUAD_REL_TOL,
-                     _QUAD_REL_TOL * np.finfo(float).tiny)
+    totals = _refine(estimate, _QUAD_REL_TOL, _QUAD_REL_TOL * np.finfo(float).tiny)
     return EnergyMomentum(*map(float, totals))
 
 
@@ -220,10 +216,11 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
     the shell rule, one node count for all times.  J0 is _j0 in numpy: the
     midpoint rule on Bessel's integral, Hankel's expansion past _J0_X.
 
-    From _FIELD_BASE_N nodes per axis the count doubles until two levels
-    agree to _FIELD_ABS_TOL * e0 at every time, up to _MAX_N; past that, or
-    for a time too far from z/c, QuadratureError is raised.  A phase that
-    overflows is a FloatingPointError naming the first time it overflows at.
+    From _BASE_N nodes per axis the count doubles until two levels agree to
+    _FIELD_ABS_TOL * e0 at every time, up to _MAX_N; past that, or for a
+    time too far from z/c, QuadratureError is raised.  A phase that
+    overflows is a FloatingPointError naming the first of the times, in
+    their given order, at which it overflows.
     """
     if not (math.isfinite(r_perp) and math.isfinite(z)):
         raise ValueError("r_perp and z must be finite")
@@ -248,19 +245,20 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
         step = max(1, _FIELD_CHUNK // len(static))
         for i in range(0, len(times), step):
             t = times[i:i + step, None]
-            try:
+            with np.errstate(over="ignore", invalid="ignore"):
                 phase = t * deficit + (C * t - z) * kz
-            except FloatingPointError:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    bad = ~np.isfinite(t * deficit + (C * t - z) * kz).all(axis=1)
+            # each node's phase is monotone in t, so the rows of least and
+            # greatest t overflow if any row does
+            if not np.isfinite(phase[[t.argmin(), t.argmax()]]).all():
+                bad = ~np.isfinite(phase).all(axis=1)
                 raise FloatingPointError(
                     "the phase (omega - c k_z) t + k_z (c t - z) overflows at "
-                    f"t = {float(t[np.argmax(bad), 0])!r} s") from None
+                    f"t = {float(t[np.argmax(bad), 0])!r} s")
             out[i:i + step] = [row @ static for row in np.sin(phase, out=phase)]
         return out
 
     try:
-        field = _refine(estimate, _FIELD_BASE_N, 0.0, _FIELD_ABS_TOL * params.e0)
+        field = _refine(estimate, 0.0, _FIELD_ABS_TOL * params.e0)
     except QuadratureError as exc:
         raise QuadratureError(
             f"boundary field {exc} statvolt/cm; |t - z/c| or r_perp too large "

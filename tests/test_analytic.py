@@ -7,7 +7,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pulsemass.constants import C, HBAR
@@ -162,6 +162,16 @@ class TestScalingAndRestFrame:
         assert mass_from_energy(1e5, lam, w) * C**2 == pytest.approx(
             1e5, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("mode", ["fixed_E0", "fixed_N"])
+    def test_waist_below_a_reduced_wavelength_is_refused(self, mode):
+        # lambda/w = 100: q = (lambda/w)^2/(4 pi^2) ~ 253 would give m > E/c^2
+        with pytest.raises(ValueError, match=r"^lambda/w = 100 > 2 pi: "):
+            w_limit_scaling(PAPER_PULSE, mode, [1.0, LAM / 100])
+
+    def test_mass_from_energy_refuses_a_waist_below_a_reduced_wavelength(self):
+        with pytest.raises(ValueError, match=r"^lambda/w = 100 > 2 pi: "):
+            mass_from_energy(1e5, LAM, LAM / 100)
+
     def test_rest_energy_equals_mass_c_squared(self):
         s = summarize(PAPER_PULSE)
         assert s.rest_energy == s.mass * C * C
@@ -277,10 +287,10 @@ class TestMassSpeedKernel:
 
     @settings(max_examples=500, deadline=None)
     @given(energy=ENERGY, q=Q)
+    @example(energy=101206381365159.0, q=1.0)  # m c^2 exceeds the energy by one ulp
     def test_mass_gives_q_back(self, energy, q):
         m, _ = mass_and_speed_deficit(energy, q)
         assume(m >= sys.float_info.min)  # a subnormal mass has lost bits of sqrt(q)
-        assume(m * C * C <= energy)  # refused as heavier than energy/c^2: q within ulps of 1
         # sqrt, *energy, /c^2 (and c^2's own rounding), then *c, *c, /energy:
         # seven roundings of sqrt(q), so at most 15 of q with its square
         back = mass_kperp_correspondence(m, energy)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -140,7 +141,8 @@ class TestMassPulse:
         assert "--oracle" in err
 
     def test_unresolved_oracle_is_numerical_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(spectral, "_MAX_N", 16)
+        monkeypatch.setattr(spectral, "_QUAD_REL_TOL", 0.0)
+        monkeypatch.setattr(spectral, "_MAX_N", 64)
         cfg = write_config(tmp_path, "c.json", PULSE_CGS)
         code, out, err = run_cli(capsys, "mass-pulse", "--config", cfg, "--oracle")
         assert code == 3
@@ -317,6 +319,16 @@ class TestSweep:
         assert out == ""
         assert err == "config error: config key 'values[0]' must be a number\n"
 
+    @pytest.mark.parametrize("mode", ["fixed_E0", "fixed_N"])
+    def test_waist_below_a_reduced_wavelength_is_config_error(self, tmp_path, capsys, mode):
+        # lambda/w = 100: a mass above E/c^2 and c - v above c, never a row
+        cfg = write_config(tmp_path, "c.json", {
+            "parameter": "w", "values": [1e-6], "mode": mode, "pulse": PULSE_CGS})
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: lambda/w = 100 > 2 pi: ")
+        assert err.count("\n") == 1
+
     def test_delay_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
                            {"parameter": "f", "values": [5.0], "delay": 5})
@@ -324,6 +336,48 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "'delay' must hold the experiment configuration" in err
+
+
+DENSITY_HEADER = "x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n"
+
+# (command, config document, density CSV text or None, message)
+CONFIG_ERRORS = [
+    ("speed", [1], None, "config must be a JSON object"),
+    ("mass-discrete", {"photons": []}, None, "'photons' must be a non-empty list"),
+    ("mass-discrete", {"photons": [1]}, None, "photon 0 must be an object"),
+    ("mass-discrete", {"photons": [{"theta_deg": 0}]}, None, "photon 0 needs 'omega' or 'lambda'"),
+    ("speed", {"tau": 1e-12, "w": 1.0, "lambda": 1e-4}, None, "pulse needs 'e0' or 'energy'"),
+    ("delay", {"w_half": 0.5, "f": 5.0}, None,
+     "'source' must be an object with the pulse parameters"),
+    ("density", {"input": 1}, None, "'input' must be a CSV file path"),
+    ("density", {}, "", "empty density CSV"),
+    ("density", {}, DENSITY_HEADER + "0,0,0,0,1,0,0,0,1\n", "row 0: expected 10 columns"),
+    ("density", {}, DENSITY_HEADER + "0,0,0,0,x,0,0,0,1,0\n",
+     "row 0: non-numeric field component"),
+    ("sweep", {"parameter": "w", "values": []}, None, "'values' must be a non-empty list"),
+    ("sweep", {"parameter": "w", "values": [1.0]}, None,
+     "'pulse' must be an object with the pulse parameters"),
+    ("sweep", {"parameter": "tau", "values": [1.0]}, None,
+     "'parameter' must be one of: w, w_half, f"),
+    ("field-profile", {**FIELD_CGS, "t_max": -1e-12}, None, "need t_max > t_min"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, document, csv_text, message", CONFIG_ERRORS)
+    def test_one_config_error_line(self, tmp_path, capsys, command, document, csv_text,
+                                   message):
+        if csv_text is not None:
+            (tmp_path / "fields.csv").write_text(csv_text)
+            document = {**document, "input": str(tmp_path / "fields.csv")}
+        cfg = write_config(tmp_path, "c.json", document)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    def test_config_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[1]"))
+        code, out, err = run_cli(capsys, "speed", "--config", "-")
+        assert (code, out, err) == (2, "", "config error: config must be a JSON object\n")
 
 
 class TestFieldProfile:
