@@ -41,20 +41,6 @@ class PulseSummary:
     wavelength: float     # cm
 
 
-def _check_paraxial(params: GaussianPulseParams) -> tuple[float, float]:
-    rw, rt = validity_ratio(params)
-    worst = max(rw, rt)
-    if worst > ERROR_RATIO:
-        raise ParaxialError(
-            f"closed forms invalid (lambda/w = {rw:.3g}, lambda/ctau = {rt:.3g}); "
-            "use spectral oracle")
-    if worst > WARN_RATIO:
-        warnings.warn(
-            f"paraxial ratios large (lambda/w = {rw:.3g}, lambda/ctau = {rt:.3g}); "
-            "closed forms degrade quadratically", ParaxialWarning)
-    return rw, rt
-
-
 def pulse_energy(params: GaussianPulseParams) -> float:
     """Paraxial pulse energy sqrt(pi)*c*tau*w^2*E0^2/8 in erg."""
     w, e0 = params.w, params.e0
@@ -85,10 +71,21 @@ def _waist_q(lam_over_w: float) -> float:
     return q
 
 
-def _closed_forms(params: GaussianPulseParams) -> PulseSummary:
-    """summarize without the paraxial check; pulse_energy's range check covers e0^2."""
-    energy = pulse_energy(params)
-    mass, deficit = mass_and_speed_deficit(energy, _waist_q(validity_ratio(params)[0]))
+def summarize(params: GaussianPulseParams) -> PulseSummary:
+    """All closed-form observables of a paraxial Gaussian pulse: ParaxialError
+    past ERROR_RATIO, one ParaxialWarning past WARN_RATIO."""
+    rw, rt = validity_ratio(params)
+    worst = max(rw, rt)
+    if worst > ERROR_RATIO:
+        raise ParaxialError(
+            f"closed forms invalid (lambda/w = {rw:.3g}, lambda/ctau = {rt:.3g}); "
+            "use spectral oracle")
+    if worst > WARN_RATIO:
+        warnings.warn(
+            f"paraxial ratios large (lambda/w = {rw:.3g}, lambda/ctau = {rt:.3g}); "
+            "closed forms degrade quadratically", ParaxialWarning)
+    energy = pulse_energy(params)  # its range check covers e0^2
+    mass, deficit = mass_and_speed_deficit(energy, _waist_q(rw))
     return PulseSummary(
         energy=energy,
         photon_count=energy / (HBAR * params.omega0),
@@ -97,12 +94,6 @@ def _closed_forms(params: GaussianPulseParams) -> PulseSummary:
         rest_energy=mass * C * C,
         wavelength=params.wavelength,
     )
-
-
-def summarize(params: GaussianPulseParams) -> PulseSummary:
-    """All closed-form observables of a paraxial Gaussian pulse."""
-    _check_paraxial(params)
-    return _closed_forms(params)
 
 
 def mass_from_energy(energy: float, lam: float, w: float) -> float:
@@ -123,9 +114,11 @@ def w_limit_scaling(params: GaussianPulseParams, mode: str,
     if not all(0.0 < w < math.inf for w in waists):
         raise ValueError("waists must be finite and strictly positive")
     if mode == "fixed_E0":
-        summaries = [_closed_forms(replace(params, w=w)) for w in waists]
-        return [(w, s.mass, s.speed_deficit) for w, s in zip(waists, summaries)]
-    if mode == "fixed_N":
-        energy, lam = pulse_energy(params), params.wavelength
-        return [(w, *mass_and_speed_deficit(energy, _waist_q(lam / w))) for w in waists]
-    raise ValueError(f"unknown scaling mode {mode!r}")
+        energy_at = lambda w: pulse_energy(replace(params, w=w))
+    elif mode == "fixed_N":
+        energy = pulse_energy(params)
+        energy_at = lambda w: energy
+    else:
+        raise ValueError(f"unknown scaling mode {mode!r}")
+    lam = params.wavelength
+    return [(w, *mass_and_speed_deficit(energy_at(w), _waist_q(lam / w))) for w in waists]

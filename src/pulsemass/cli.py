@@ -216,6 +216,9 @@ def cmd_mass_pulse(cfg: dict, args) -> None:
         m_quad = spectral.pulse_mass_quadrature(params)
         fields["mass_quadrature_g"] = m_quad
         if summary is not None:
+            if m_quad == 0.0:  # both masses underflow: 0/0 is not data
+                raise FloatingPointError("non-finite oracle_rel_deviation: "
+                                         "the quadrature mass is 0.0 g")
             fields["oracle_rel_deviation"] = abs(m_quad - summary.mass) / m_quad
     _emit_json("mass-pulse", fields, args.out)
 

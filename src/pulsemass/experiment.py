@@ -71,8 +71,8 @@ def spdc_speed(k_perp_sq_mean: float, k_abs: float) -> float:
         q = math.ldexp(k_perp_sq_mean, -2 * x) / (k * k)
     except OverflowError:  # <k_perp^2> past 2^2x times the float range: >> k^2
         q = math.inf
-    if q >= 2.0:
-        raise ValueError("k_perp^2 >= 2 k^2: outside paraxial validity")
+    if q > 1.0:  # no slack: where k^2 is normal, <k_perp^2> = k^2 gives q = 1 exactly
+        raise ValueError(f"<k_perp^2>/k^2 = {q:.6g} > 1: no photon has k_perp > |k|")
     return C - mass_and_speed_deficit(0.0, q)[1]  # c - v needs no energy
 
 
@@ -82,8 +82,9 @@ def mass_kperp_correspondence(mass: float, energy: float) -> float:
         raise ValueError("need finite mass >= 0 and energy > 0")
     ratio = mass * C * C / energy
     # from q <= 1 (sqrt(q) <= 1 exactly), m = energy sqrt(q)/c^2 and m c^2/energy
-    # round six times: a ratio up to 1 + 6 2^-53 is the kernel's own mass at q = 1
-    if ratio > 1.0 + 6 * 2.0**-53:
+    # round six times, and a subnormal m is off by up to 2^-1075 g more, 2^-1075 c^2/energy
+    # on the ratio: up to that bound the ratio is the kernel's own mass at q = 1
+    if ratio > 1.0 + 6 * 2.0**-53 + math.ldexp(C * C, -1075) / energy:
         raise ValueError("mass c^2 exceeds energy")
     ratio = min(ratio, 1.0)
     return ratio * ratio

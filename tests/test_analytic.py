@@ -147,6 +147,8 @@ class TestScalingAndRestFrame:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             w_limit_scaling(PAPER_PULSE, "fixed_tau", [1.0])
+        with pytest.raises(ValueError, match="unknown scaling mode"):
+            w_limit_scaling(PAPER_PULSE, "fixed_tau", [])  # refused before any row
 
     def test_rest_frame_energy_plug_in(self):
         assert mass_from_energy(1e5, 1e-4, 1.0) * C**2 == pytest.approx(

@@ -149,6 +149,15 @@ class TestMassPulse:
         assert out == ""
         assert err.startswith("numerical error: QuadratureError: ")
 
+    def test_zero_quadrature_mass_is_numerical_error(self, capsys):
+        # both masses underflow to 0 (the true one is ~1e-330 g): the deviation is 0/0
+        code, out, err = run_cli(capsys, "mass-pulse", "--oracle", "--set", "e0=1e-150",
+                                 "--set", "tau=1e-12", "--set", "w=0.01", "--set", "lambda=1e-4")
+        assert code == 3
+        assert out == ""
+        assert err == ("numerical error: FloatingPointError: non-finite oracle_rel_deviation: "
+                       "the quadrature mass is 0.0 g\n")
+
 
 class TestSpeedAndDelay:
     def test_speed(self, tmp_path, capsys):

@@ -5,9 +5,10 @@ import random
 import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pulsemass.constants import C
-from pulsemass.analytic import summarize
+from pulsemass.analytic import mass_and_speed_deficit, summarize
 from pulsemass.experiment import (
     ExperimentConfig,
     GeometryWarning,
@@ -40,9 +41,19 @@ class TestSpdcSpeed:
         with pytest.raises(ValueError):
             spdc_speed(2.0, 1.0)
 
+    # no photon has k_perp > |k|, so q = <k_perp^2>/k^2 > 1 is no ensemble's
+    @pytest.mark.parametrize("k_perp_sq", [1.5, 1.999])
+    def test_kperp_above_k_refused(self, k_perp_sq):
+        with pytest.raises(ValueError, match=f"^<k_perp\\^2>/k\\^2 = {k_perp_sq} > 1: "):
+            spdc_speed(k_perp_sq, 1.0)
+
+    def test_kperp_equal_to_k_gives_half_c(self):
+        assert spdc_speed(1.0, 1.0) == C / 2
+
     # unscaled, k^2 = 1e-340 underflows to 0 and 1e320 overflows to inf
     def test_k_squared_below_the_float_range_is_outside_validity(self):
-        with pytest.raises(ValueError, match="^k_perp\\^2 >= 2 k\\^2: outside paraxial validity$"):
+        with pytest.raises(ValueError, match="^<k_perp\\^2>/k\\^2 = inf > 1: "
+                                             "no photon has k_perp > \\|k\\|$"):
             spdc_speed(1.0, 1e-170)
         assert spdc_speed(0.0, 1e-170) == C
 
@@ -76,6 +87,22 @@ class TestCorrespondence:
     def test_overweight_rejected(self):
         with pytest.raises(ValueError):
             mass_kperp_correspondence(1.0, 1e5)
+
+    def test_overweight_subnormal_mass_rejected(self):
+        # one subnormal ulp, 2^-1074 g, is twice the rounding a subnormal mass can carry
+        with pytest.raises(ValueError, match="mass c\\^2 exceeds energy"):
+            mass_kperp_correspondence(2.0**-1074, 1e-310)
+
+    # below E ~ 2e-287 erg the kernel's mass at q = 1 is subnormal and has lost bits
+    @settings(max_examples=500, deadline=None)
+    @given(log_energy=st.floats(min_value=-323.0, max_value=-280.0),
+           q=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)))
+    @example(log_energy=-290.0, q=1.0)
+    @example(log_energy=-295.0, q=1.0)
+    def test_kernel_subnormal_mass_accepted(self, log_energy, q):
+        energy = 10.0**log_energy
+        m, _ = mass_and_speed_deficit(energy, q)
+        assert 0.0 <= mass_kperp_correspondence(m, energy) <= 1.0
 
     def test_closure_with_analytic_speed(self):
         # the SPDC speed fed the matched <k_perp^2> reproduces the closed-form
