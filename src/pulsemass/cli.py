@@ -219,7 +219,12 @@ def cmd_mass_pulse(cfg: dict, args) -> None:
             if m_quad == 0.0:  # both masses underflow: 0/0 is not data
                 raise FloatingPointError("non-finite oracle_rel_deviation: "
                                          "the quadrature mass is 0.0 g")
-            fields["oracle_rel_deviation"] = abs(m_quad - summary.mass) / m_quad
+            deviation = abs(m_quad - summary.mass) / m_quad
+            # a subnormal mass has lost digits: a deviation within its ulp is not data
+            if m_quad < sys.float_info.min and deviation <= math.ulp(m_quad) / m_quad:
+                raise FloatingPointError(f"oracle_rel_deviation {deviation!r} is within the "
+                                         f"rounding of the subnormal quadrature mass {m_quad!r} g")
+            fields["oracle_rel_deviation"] = deviation
     _emit_json("mass-pulse", fields, args.out)
 
 

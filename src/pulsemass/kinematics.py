@@ -26,7 +26,7 @@ _UNIT_TOL = 1e-12
 
 _FLOAT_MAX = sys.float_info.max  # an int past it cannot become a float
 
-_set = object.__setattr__  # the one way past a frozen dataclass's guard
+_set = object.__setattr__  # past a frozen dataclass's guard, for the fields FourMomentum derives
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ class PhotonMode:
         norm = math.sqrt(nx * nx + ny * ny + nz * nz)
         if not abs(norm - 1.0) <= _UNIT_TOL:
             raise ValueError(f"direction must be a unit vector (|n| = {norm})")
-        _set(self, "omega", omega)
-        _set(self, "direction", (float(nx), float(ny), float(nz)))
-        _set(self, "weight", weight)
+        _set_omega(self, omega)
+        _set_direction(self, (float(nx), float(ny), float(nz)))
+        _set_weight(self, weight)
 
     @classmethod
     def from_angles(cls, omega: float, theta: float, phi: float = 0.0,
@@ -112,6 +112,12 @@ class PhotonMode:
         st = math.sin(theta)
         n = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
         return cls(omega, n, weight)
+
+
+# the slots' own setters: no frozen guard and no name lookup per mode
+_set_omega = PhotonMode.omega.__set__
+_set_direction = PhotonMode.direction.__set__
+_set_weight = PhotonMode.weight.__set__
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -199,9 +205,9 @@ def boost_ensemble(ensemble: PhotonEnsemble, frame: BoostFrame) -> PhotonEnsembl
     k = ensemble.omega / C
     kv = ensemble.n.T * k             # (kx, ky, kz) rows, then the new direction
     k_new = g * (k - b * kv[2])       # omega'/c, at most 2^26 * 2k: finite
-    # C * max(ks) overflows iff C * k_new does; past it no step overflows or divides by 0
-    ks = k_new.tolist()
-    if ks and not (0.0 < min(ks) and C * max(ks) < math.inf):
+    # C * max overflows iff C * k_new does; past it no step overflows or divides by 0.
+    # float(): a Python float product overflows to inf silently, np.float64 warns
+    if k_new.size and not (0.0 < k_new.min() and C * float(k_new.max()) < math.inf):
         raise ValueError("mode frequency must be finite and positive")
     kv[2] = g * (kv[2] - b * k)
     kv /= k_new

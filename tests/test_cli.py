@@ -158,6 +158,25 @@ class TestMassPulse:
         assert err == ("numerical error: FloatingPointError: non-finite oracle_rel_deviation: "
                        "the quadrature mass is 0.0 g\n")
 
+    @pytest.mark.parametrize("e0", ["1e-144", "1e-145"])
+    def test_subnormal_masses_equal_to_rounding_are_numerical_error(self, capsys, e0):
+        # both masses are subnormal and agree to the last bit they keep: 0.0 is not data
+        code, out, err = run_cli(capsys, "mass-pulse", "--oracle", "--set", f"e0={e0}",
+                                 "--set", "tau=1e-12", "--set", "w=0.01", "--set", "lambda=1e-4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: FloatingPointError: oracle_rel_deviation 0.0 ")
+        assert err.count("\n") == 1
+
+    def test_subnormal_masses_that_differ_keep_their_deviation(self, capsys):
+        # a subnormal quadrature mass whose deviation exceeds its ulp is still data
+        code, out, err = run_cli(capsys, "mass-pulse", "--oracle", "--set", "e0=1e-140",
+                                 "--set", "tau=1e-12", "--set", "w=0.01", "--set", "lambda=1e-4")
+        assert code == 0 and err == ""
+        data = json.loads(out, parse_float=str)
+        assert float(data["mass_quadrature_g"]) < sys.float_info.min
+        assert data["oracle_rel_deviation"] == "1.3717712891196981e-06"
+
 
 class TestSpeedAndDelay:
     def test_speed(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ from pulsemass.kinematics import (
     PhotonMode,
     boost_ensemble,
     invariant_mass,
+    rest_frame,
     total_four_momentum,
 )
 
@@ -79,6 +80,7 @@ def assert_same_bits(modes, beta):
     assert bits(boosted.omega) == bits(m.omega for m in expected)
     assert bits(boosted.n.ravel()) == bits(x for m in expected for x in m.direction)
     assert bits(boosted.weight) == bits(m.weight for m in expected)
+    return boosted, expected
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -122,6 +124,21 @@ def test_large_rng_ensemble_matches_scalar_formulas():
         rng.uniform(0.5, 2.0, n).tolist(), rng.uniform(0.0, math.pi, n).tolist(),
         rng.uniform(0.0, 2 * math.pi, n).tolist(), rng.uniform(0.0, 5.0, n).tolist())]
     assert_same_bits(modes, 0.37)
+
+
+@pytest.mark.parametrize("spread", [math.pi, 1e-4])
+def test_rest_frame_chain_matches_scalar_formulas(spread):
+    # build, total, rest frame, boost, total: the chain of the ensemble-large
+    # bench op, on a full sphere and on a cone about +z
+    rng = np.random.default_rng(25)
+    n = 10_000
+    modes = [PhotonMode.from_angles(OMEGA * u, th, ph, wt) for u, th, ph, wt in zip(
+        rng.uniform(0.5, 2.0, n).tolist(), rng.uniform(0.0, spread, n).tolist(),
+        rng.uniform(0.0, 2 * math.pi, n).tolist(), rng.uniform(0.0, 5.0, n).tolist())]
+    frame = rest_frame(total_four_momentum(PhotonEnsemble(modes)))
+    boosted, expected = assert_same_bits(modes, frame.beta)
+    p, ref = total_four_momentum(boosted), ref_total(expected)
+    assert bits((p.e_over_c, p.px, p.py, p.pz)) == bits((ref.e_over_c, ref.px, ref.py, ref.pz))
 
 
 def ref_pack(modes):
@@ -190,6 +207,17 @@ class TestEdges:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="mode frequency must be finite and positive"):
                 boost_ensemble(ens, BoostFrame(0.99))
+
+    @pytest.mark.parametrize("bad, beta", [(PhotonMode(1e308, (0.0, 0.0, -1.0)), 0.99),
+                                           (PhotonMode(5e-324, (0.0, 0.0, 1.0)), 0.5)])
+    def test_one_bad_mode_inside_a_large_ensemble_is_the_mode_error(self, bad, beta):
+        # the range check reads the whole array, not its ends
+        modes = [PhotonMode.from_angles(OMEGA, 0.001 * i, 0.1 * i) for i in range(1200)]
+        modes[617] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mode frequency must be finite and positive"):
+                boost_ensemble(PhotonEnsemble(modes), BoostFrame(beta))
 
     def test_boost_to_zero_frequency_is_the_mode_error(self):
         # omega/c underflows to 0; the scalar loop divided by it
