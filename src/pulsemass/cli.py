@@ -195,8 +195,8 @@ def cmd_mass_discrete(cfg: dict, args) -> None:
 
 
 def cmd_mass_pulse(cfg: dict, args) -> None:
-    """Closed forms, plus the quadrature with --oracle; beyond the paraxial
-    limit --oracle reports the quadrature mass alone."""
+    """Closed forms, plus with --oracle the quadrature mass and its deviation,
+    taken at e0's mantissa; past the paraxial limit the quadrature mass alone."""
     params = _pulse_params(cfg, args.units)
     try:
         summary = analytic.summarize(params)
@@ -213,18 +213,15 @@ def cmd_mass_pulse(cfg: dict, args) -> None:
     fields.update(wavelength_cm=params.wavelength, lambda_over_w=rw, lambda_over_ctau=rt)
     if args.oracle:
         from . import spectral
-        m_quad = spectral.pulse_mass_quadrature(params)
-        fields["mass_quadrature_g"] = m_quad
+        # every total goes as e0^2: both masses at the mantissa m of e0 = m 2^x,
+        # where neither is subnormal, and the quadrature's scaled back by 4^x
+        m, x = math.frexp(params.e0)
+        at_m = GaussianPulseParams(m, params.tau, params.w, params.omega0)
+        m_quad = spectral.pulse_mass_quadrature(at_m)
+        fields["mass_quadrature_g"] = math.ldexp(m_quad, 2 * x)
         if summary is not None:
-            if m_quad == 0.0:  # both masses underflow: 0/0 is not data
-                raise FloatingPointError("non-finite oracle_rel_deviation: "
-                                         "the quadrature mass is 0.0 g")
-            deviation = abs(m_quad - summary.mass) / m_quad
-            # a subnormal mass has lost digits: a deviation within its ulp is not data
-            if m_quad < sys.float_info.min and deviation <= math.ulp(m_quad) / m_quad:
-                raise FloatingPointError(f"oracle_rel_deviation {deviation!r} is within the "
-                                         f"rounding of the subnormal quadrature mass {m_quad!r} g")
-            fields["oracle_rel_deviation"] = deviation
+            m_closed = analytic.mass_from_energy(analytic.pulse_energy(at_m), at_m.wavelength, at_m.w)
+            fields["oracle_rel_deviation"] = abs(m_quad - m_closed) / m_quad
     _emit_json("mass-pulse", fields, args.out)
 
 

@@ -3,10 +3,10 @@ quadrature: total energy, momentum, photon number, invariant mass, and the
 boundary-field reconstruction.
 
 The quadrature keeps the exact (c^2 k_z/omega_k) Jacobian and the exact
-dispersion omega_k = c|k| on one rule in the shell coordinates |k| and k_perp
-(_nodes), which holds the photon shell at any lambda/w and lambda/(c tau), so
-it serves as the un-approximated oracle against which the closed paraxial
-forms in ``pulsemass.analytic`` are checked.
+dispersion omega_k = c|k| on one rule in |k| and k_perp = min(s_max, |k|) sin phi
+(_nodes), which holds the photon shell and its edge k_perp = |k| at any
+lambda/w and lambda/(c tau), so it is the un-approximated oracle for the
+closed paraxial forms in ``pulsemass.analytic`` and answers where they refuse.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .pulse import GaussianPulseParams, QuadratureError, validity_ratio  # noqa:
 
 
 class ForwardClipWarning(UserWarning):
-    """The shell rule drops nodes of |k| <= 0 that hold non-negligible weight."""
+    """The shell rule drops rows of |k| <= 0 that hold non-negligible weight."""
 
 
 # s w and y = (|k| - k0) c tau run over [0, _Y] and [-_Y, _Y], where the
@@ -98,12 +98,12 @@ class EnergyMomentum:
 
 def _rule(params: GaussianPulseParams) -> tuple[float, float, float]:
     """(k0, c tau, s_max): the shell rule's centre, its |k| scale and its
-    k_perp range _Y/w capped at the largest |k|, the one spectral description
-    of the oracle and the field, checked once per call.  It refuses extreme
-    |k| nodes k0 -+ _Y/(c tau) or an s_max not finite, k0 <= 0, or |k| nodes
-    that coincide: a pulse of extreme tau, w or omega0."""
+    k_perp range _Y/w, the one spectral description of the oracle and the
+    field, checked once per call.  It refuses extreme |k| nodes k0 -+
+    _Y/(c tau) or an s_max not finite, k0 <= 0, or |k| nodes that coincide:
+    a pulse of extreme tau, w or omega0."""
     k0 = params.omega0 / C
-    # weight of the density's exp(-y^2) below u = 0, where nodes are dropped
+    # weight of the density's exp(-y^2) below u = 0, where rows are dropped
     lost = 0.5 * math.erfc(k0 * C * params.tau)
     if lost > 1e-12:
         warnings.warn(
@@ -118,7 +118,7 @@ def _rule(params: GaussianPulseParams) -> tuple[float, float, float]:
         raise ValueError("support must lie in the forward half-space k_z > 0")
     if k0 + dy <= k0 - dy:
         raise ValueError("degenerate support window")
-    return k0, ct, min(s_max, k0 + dy)
+    return k0, ct, s_max
 
 
 def _amplitude(params: GaussianPulseParams, s, kz, u):
@@ -143,21 +143,24 @@ _legendre = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 def _nodes(k0: float, ct: float, s_max: float, n: int):
     """The shell rule at n nodes per axis: u = k0 + y/(c tau) at n evenly
     spaced y over [-_Y, _Y] of weight h exp(-y^2/2), h = 2 _Y/(n - 1) (the
-    trapezoidal rule: error ~exp(-2 pi^2/h^2), Trefethen & Weideman 2014), and
-    s on Gauss-Legendre nodes over [0, s_max].  Nodes with s >= u (u <= 0
-    among them) are dropped.  Returns, for the kept nodes in s-major order,
-    s, k_z = sqrt((u - s)(u + s)), u, y, the deficit omega_k - c k_z as
-    c s^2/(u + k_z), and d3k, each node's share of exp(-y^2/2) d^3k with
-    d^3k = 2 pi s ds du u/k_z: the one home of the measure."""
-    x, ws = _legendre(n)
+    trapezoidal rule: error ~exp(-2 pi^2/h^2), Trefethen & Weideman 2014),
+    rows u <= 0 dropped, times s = cap sin phi, cap = min(s_max, u), with phi
+    on Gauss-Legendre nodes over [0, pi/2]: the shell's edge s = u is an end
+    of the phi axis, and rows of cap s_max share their s.  Returns, s-major,
+    s, k_z = sqrt((u - cap)(u + cap) + (cap cos phi)^2), u, y, the deficit
+    omega_k - c k_z as c s^2/(u + k_z), and d3k, each node's share of exp(-y^2/2)
+    d^3k, d^3k = 2 pi s ds du u/k_z, ds = cap cos phi dphi: the measure's home."""
+    x, wphi = _legendre(n)
     y = np.linspace(-_Y, _Y, n)
+    u = k0 + y / ct
+    y, u = y[u > 0.0], u[u > 0.0]
     wu = (2.0 * _Y / (n - 1)) * np.exp(-0.5 * y * y)
-    s, u = 0.5 * s_max * (x + 1.0), k0 + y / ct
-    i, j = np.nonzero(s[:, None] < u)
-    S, U = s[i], u[j]
-    KZ = np.sqrt((U - S) * (U + S))
-    d3k = (math.pi * s_max / ct) * S * ws[i] * wu[j] * U / KZ
-    return S, KZ, U, y[j], C * S * S / (U + KZ), d3k
+    phi = (0.25 * math.pi) * (x[:, None] + 1.0)
+    cap = np.minimum(s_max, u)
+    s, ds = cap * np.sin(phi), cap * np.cos(phi)
+    kz = np.sqrt((u - cap) * (u + cap) + ds * ds)  # u cos phi on an edge row
+    d3k = (0.5 * math.pi**2 / ct) * s * ds * wphi[:, None] * wu * u / kz
+    return tuple(a.ravel() for a in np.broadcast_arrays(s, kz, u, y, C * s * s / (u + kz), d3k))
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -233,7 +236,7 @@ def field_profile(params: GaussianPulseParams, r_perp: float, z: float,
 
     def estimate(n):
         S, kz, U, _, deficit, d3k = _nodes(*rule, n)
-        # one J0 per k_perp node: the kept nodes repeat each s
+        # one J0 per distinct k_perp: rows of cap s_max repeat each s
         s, of_node = np.unique(S, return_inverse=True)
         static = _j0(s * r_perp)[of_node] * _amplitude(params, S, kz, U) * d3k
         static *= params.tau / (2.0 * math.pi) ** 1.5

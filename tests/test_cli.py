@@ -149,33 +149,23 @@ class TestMassPulse:
         assert out == ""
         assert err.startswith("numerical error: QuadratureError: ")
 
-    def test_zero_quadrature_mass_is_numerical_error(self, capsys):
-        # both masses underflow to 0 (the true one is ~1e-330 g): the deviation is 0/0
-        code, out, err = run_cli(capsys, "mass-pulse", "--oracle", "--set", "e0=1e-150",
-                                 "--set", "tau=1e-12", "--set", "w=0.01", "--set", "lambda=1e-4")
-        assert code == 3
-        assert out == ""
-        assert err == ("numerical error: FloatingPointError: non-finite oracle_rel_deviation: "
-                       "the quadrature mass is 0.0 g\n")
-
-    @pytest.mark.parametrize("e0", ["1e-144", "1e-145"])
-    def test_subnormal_masses_equal_to_rounding_are_numerical_error(self, capsys, e0):
-        # both masses are subnormal and agree to the last bit they keep: 0.0 is not data
-        code, out, err = run_cli(capsys, "mass-pulse", "--oracle", "--set", f"e0={e0}",
-                                 "--set", "tau=1e-12", "--set", "w=0.01", "--set", "lambda=1e-4")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("numerical error: FloatingPointError: oracle_rel_deviation 0.0 ")
-        assert err.count("\n") == 1
-
-    def test_subnormal_masses_that_differ_keep_their_deviation(self, capsys):
-        # a subnormal quadrature mass whose deviation exceeds its ulp is still data
-        code, out, err = run_cli(capsys, "mass-pulse", "--oracle", "--set", "e0=1e-140",
-                                 "--set", "tau=1e-12", "--set", "w=0.01", "--set", "lambda=1e-4")
-        assert code == 0 and err == ""
-        data = json.loads(out, parse_float=str)
-        assert float(data["mass_quadrature_g"]) < sys.float_info.min
-        assert data["oracle_rel_deviation"] == "1.3717712891196981e-06"
+    @pytest.mark.parametrize("e0", [1e-140, 1e-143, 1e-145, 1e-150])
+    def test_faint_pulse_deviation_is_taken_at_the_mantissa(self, capsys, e0):
+        # both masses are subnormal or 0 at e0 itself; every total goes as e0^2,
+        # so the deviation is formed at e0's mantissa and keeps its digits
+        pulse = ["--set", "tau=1e-12", "--set", "w=0.01", "--set", "lambda=1e-4"]
+        results = []
+        for value in (1.0, e0):
+            code, out, err = run_cli(capsys, "mass-pulse", "--oracle", "--set", f"e0={value!r}",
+                                     *pulse)
+            assert code == 0 and err == ""
+            results.append(json.loads(out))
+        assert float(results[1]["oracle_rel_deviation"]) == pytest.approx(
+            float(results[0]["oracle_rel_deviation"]), rel=1e-9, abs=0)
+        m, x = math.frexp(e0)
+        at_m = pulsemass.GaussianPulseParams(m, 1e-12, 0.01, 2 * math.pi * C / 1e-4)
+        assert float(results[1]["mass_quadrature_g"]) == math.ldexp(
+            pulsemass.pulse_mass_quadrature(at_m), 2 * x)
 
 
 class TestSpeedAndDelay:

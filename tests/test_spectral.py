@@ -1,6 +1,7 @@
 """Tests for the spectral photon density and its k-space quadrature."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from pulsemass import spectral
+from pulsemass import cli, spectral
 from pulsemass.constants import C, HBAR
 from pulsemass.kinematics import (
     FourMomentum,
@@ -216,18 +217,64 @@ class TestShellRule:
         assert abs(deviation) <= (rw**2 + rt**2) / (4 * math.pi**2)
 
 
-class TestShellEdge:
-    """Past lambda/w ~ 1 the amplitude reaches the shell's edge k_perp = |k|;
-    the rule's k_perp range stops at its largest |k|, so nodes remain."""
+def quasi_monochromatic(ratio_w):
+    """Exact v/c and m c^2/E of the pulse as lambda/(c tau) -> 0, b = 2 pi w/lambda:
+    v/c = (b^2 - 1 + exp(-b^2))/(b (b - D(b))), D Dawson's function."""
+    with mpmath.workdps(40):
+        b = 2 * mpmath.pi / mpmath.mpf(ratio_w)
+        dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-b * b) * mpmath.erfi(b)
+        v = (b * b - 1 + mpmath.exp(-b * b)) / (b * (b - dawson))
+        return float(v), float(mpmath.sqrt((1 - v) * (1 + v)))
 
-    @pytest.mark.parametrize("rt", [1e-6, 1e-2])
-    def test_oracle_past_the_edge_is_unresolved(self, rt):
-        # the density ends in a kink at k_perp = |k| that the Legendre nodes
-        # do not resolve to 1e-10: an error, never a mass from no nodes
-        p = params_for(200.0, rt)
-        assert len(spectral._nodes(*spectral._rule(p), 8)[0]) > 0
-        with pytest.raises(QuadratureError, match="unresolved at 256 nodes per axis"):
-            pulse_mass_quadrature(p)
+
+class TestShellEdge:
+    """Past lambda/w ~ 1 the amplitude reaches the shell's edge k_perp = |k|,
+    where k_z ends in a square root; the rule puts it at an end of the phi
+    axis, so the oracle and the field resolve at every waist."""
+
+    @staticmethod
+    def speed_and_mass_ratio(p):
+        obs = integrate_observables(p)
+        return C * obs.pz / obs.energy, pulse_mass_quadrature(p) * C * C / obs.energy
+
+    @pytest.mark.parametrize("ratio_w", [0.5, 2.0, 30.0, 1e3])
+    def test_oracle_is_the_exact_quasi_monochromatic_pulse(self, ratio_w):
+        v, mass = self.speed_and_mass_ratio(params_for(ratio_w, 1e-9))
+        v_exact, mass_exact = quasi_monochromatic(ratio_w)
+        assert v == pytest.approx(v_exact, rel=1e-12, abs=0)
+        assert mass == pytest.approx(mass_exact, rel=1e-12, abs=0)
+
+    def test_sub_wavelength_limit(self):
+        # the energy per solid angle goes as cos^2 theta over the forward
+        # hemisphere: v -> 3c/4 and m c^2/E -> sqrt(7)/4
+        v, mass = self.speed_and_mass_ratio(params_for(1e4, 1e-9))
+        assert abs(v - 0.75) <= 1e-6
+        assert abs(mass - math.sqrt(7) / 4) <= 1e-6
+
+    def test_oracle_command_past_the_edge(self, capsys):
+        code = cli.main(["mass-pulse", "--oracle", "--set", "e0=1", "--set", "tau=1e-12",
+                         "--set", "w=5e-5", "--set", "lambda=1e-4"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert 0.0 < float(json.loads(out)["mass_quadrature_g"]) < math.inf
+
+    def test_field_of_a_short_pulse_past_the_edge(self):
+        # lambda/w = 3: on axis each |k| = u keeps the forward share
+        # 1 - exp(-(u w)^2/2), left as a 1-D integral over y = (omega - omega0) tau
+        p = params_for(3.0, 1e-2)
+        period = 2 * math.pi / p.omega0
+        ts = np.array([0.25, 0.75, 30.25, -119.75]) * period  # 100 periods in tau
+        with mpmath.workdps(30):
+            def exact(t):
+                def integrand(y):
+                    omega = p.omega0 + y / p.tau
+                    share = -mpmath.expm1(-(omega / C * p.w) ** 2 / 2)
+                    return mpmath.exp(-y * y / 2) * mpmath.sin(omega * t) * share
+                total = mpmath.quad(integrand, mpmath.linspace(-12, 12, 25))
+                return float(p.e0 * total / mpmath.sqrt(2 * mpmath.pi))
+
+            expected = np.array([exact(mpmath.mpf(float(t))) for t in ts])
+        assert np.max(np.abs(field_profile(p, 0.0, 0.0, ts) - expected)) <= 1e-9 * p.e0
 
     def test_field_of_a_sub_wavelength_waist(self):
         # lambda/w = 1000: only k_perp < |k| ~ k0 propagates, so on axis the
@@ -577,12 +624,13 @@ class TestNodes:
                 exact = mpmath.mpf(C) * (mpmath.sqrt(kz * kz + kp * kp) - kz)
                 assert abs(got - exact) <= 4e-16 * exact
 
-    # (k0, c tau, s_max), each with every node kept
+    # (k0, c tau, s_max), each with every row kept and s_max below every |k|
     @pytest.mark.parametrize("window", [(1.0, 100.0, 0.5), (6e4, 3e-2, 6e-5), (6e4, 1e-3, 40.0)])
     def test_d3k_integrates_the_window_exactly(self, window):
-        # d3k k_z/u = 2 pi s ds du exp(-y^2/2): 32 nodes per axis are exact
-        # for polynomials in s of degree up to 63, and the trapezoidal rule in y
-        # takes exp(-y^2/2) times a polynomial in y to rounding
+        # d3k k_z/u = 2 pi s ds du exp(-y^2/2): with s = s_max sin phi each s^k ds
+        # is s_max^(k+1) sin^k phi cos phi dphi, entire in phi, which 32
+        # Gauss-Legendre nodes over [0, pi/2] take to rounding, and the
+        # trapezoidal rule in y takes exp(-y^2/2) times a polynomial in y to rounding
         _, ct, s_max = window
         S, KZ, U, Y, _, d3k = spectral._nodes(*window, 32)
         assert len(S) == 32 * 32
