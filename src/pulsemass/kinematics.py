@@ -28,6 +28,11 @@ _FLOAT_MAX = sys.float_info.max  # an int past it cannot become a float
 
 _set = object.__setattr__  # past a frozen dataclass's guard, for the fields FourMomentum derives
 
+# total_four_momentum's sizes for _exact_sums: from its crossover with
+# math.fsum (about 550 modes on a 2-vCPU Xeon) to where its bins stop being exact
+_EXACT_SUMS_MIN = 512
+_EXACT_SUMS_MAX = 2**27
+
 
 @dataclass(frozen=True)
 class FourMomentum:
@@ -161,19 +166,58 @@ class BoostFrame:
         return 1.0 / math.sqrt(1.0 - self.beta * self.beta)
 
 
+def _exact_sums(rows) -> list[float]:
+    """math.fsum of each row of finite floats, from a few numpy calls per
+    row, in the style of Neal's superaccumulators (arXiv:1505.05571).
+
+    frexp gives each term as M 2^(x - 53), M an integer below 2^53, which
+    splits exactly into hi 2^27 + lo with |hi|, |lo| <= 2^26.  One bincount
+    per half sums it by exponent, exactly for rows below 2^27 terms; the
+    bins whose sum is not 0 join as one Python int from the top, which is
+    rounded once: correctly, so the bits are fsum's, subnormal sums and 0.0
+    included."""
+    sums = []
+    for row in rows:
+        m, x = np.frexp(row)  # row = m 2^x, 0.5 <= |m| < 1, or m = x = 0
+        m *= 2.0**26  # M 2^-27
+        hi = np.rint(m)
+        m -= hi  # lo 2^-27
+        x0 = int(x.min())
+        x -= x0
+        h, lo = np.bincount(x, hi), np.bincount(x, m)
+        # h + lo is 0 only where the bin sums to 0 exactly, a zero term's
+        # bin included: the walk skips them
+        b = np.flatnonzero(h + lo)[::-1]
+        t, top = 0, h.size  # above every bin: 0 << (top - i) is 0
+        for i, hb, lb in zip(b.tolist(), h[b].astype(np.int64).tolist(),
+                             (lo[b] * 2.0**27).astype(np.int64).tolist()):
+            t = (t << (top - i)) + (hb << 27) + lb
+            top = i
+        s = top + x0 - 53
+        sums.append(float(t << s) if s >= 0 else t / (1 << -s))
+    return sums
+
+
 @np.errstate(over="ignore")  # weight*hbar*omega overflows to inf as a float would
 def total_four_momentum(ensemble: PhotonEnsemble) -> FourMomentum:
     """Weighted component-wise sum of hbar*omega/c * (1, n) over all modes,
     with the deficit e/c - |p| = sum k |n - u|^2/2 about the total-momentum
     axis u (z when p = 0): every term is >= 0, and an error in u enters it
-    at second order only."""
+    at second order only.  The four totals are correctly rounded, so they
+    are math.fsum's bits on either path: math.fsum below _EXACT_SUMS_MIN
+    modes, where it beats the kernel's fixed numpy cost, and _exact_sums
+    from there to the 2^27 terms below which its bin sums are exact."""
     if not ensemble.omega.size:
         raise ValueError("empty ensemble")
     k = ensemble.weight * HBAR * ensemble.omega / C
-    e = math.fsum(k.tolist())
+    exact = _EXACT_SUMS_MIN <= k.size < _EXACT_SUMS_MAX
+    e = k.max() if exact else math.fsum(k.tolist())  # k >= 0: finite iff its max is
     if not math.isfinite(e):  # the p sums would call inf - inf a ValueError
         raise FloatingPointError("non-finite photon momentum weight*hbar*omega/c")
-    px, py, pz = map(math.fsum, (ensemble.n.T * k).tolist())
+    if exact:
+        e, px, py, pz = _exact_sums((k, *(ensemble.n.T * k)))
+    else:
+        px, py, pz = map(math.fsum, (ensemble.n.T * k).tolist())
     p_abs = math.hypot(px, py, pz)
     d = ensemble.n - ([px / p_abs, py / p_abs, pz / p_abs] if p_abs else [0.0, 0.0, 1.0])
     d *= d

@@ -2,9 +2,12 @@
 
 The reference functions below are the per-PhotonMode loops the array code
 was written from.  Each array result must equal them bit for bit: the same
-per-mode operations in the same order, and the same exact math.fsum.  The
-mass is held to the unscaled formula, which invariant_mass scales by a power
-of two.
+per-mode operations in the same order, and totals correctly rounded, so
+math.fsum's bits.  total_four_momentum takes them from math.fsum below
+_EXACT_SUMS_MIN modes and from the binned kernel _exact_sums from there to
+the 2^27 terms its bins sum exactly, so the tests run on both sides of the
+switch.  The mass is held to the unscaled formula, which invariant_mass
+scales by a power of two.
 """
 
 import math
@@ -16,14 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulsemass import kinematics
 from pulsemass.constants import C, HBAR
 from pulsemass.kinematics import (
+    _EXACT_SUMS_MIN,
     BoostFrame,
     FourMomentum,
     PhotonEnsemble,
     PhotonMode,
     boost_ensemble,
     invariant_mass,
+    _exact_sums,
     rest_frame,
     total_four_momentum,
 )
@@ -124,6 +130,58 @@ def test_large_rng_ensemble_matches_scalar_formulas():
         rng.uniform(0.5, 2.0, n).tolist(), rng.uniform(0.0, math.pi, n).tolist(),
         rng.uniform(0.0, 2 * math.pi, n).tolist(), rng.uniform(0.0, 5.0, n).tolist())]
     assert_same_bits(modes, 0.37)
+
+
+@pytest.mark.parametrize("n", [_EXACT_SUMS_MIN - 1, _EXACT_SUMS_MIN])
+def test_tight_backward_cone_on_both_sides_of_the_switch(n, monkeypatch):
+    # the strategy's hard case, a cone of spread 1e-8 about -z with some
+    # zero weights, at the last fsum size and the first binned one
+    calls = []
+    monkeypatch.setattr(kinematics, "_exact_sums", lambda rows: calls.append(1) or _exact_sums(rows))
+    rng = np.random.default_rng(27)
+    weight = rng.uniform(0.0, 5.0, n)
+    weight[rng.random(n) < 0.1] = 0.0
+    modes = [PhotonMode.from_angles(OMEGA * u, math.pi - th, ph, wt) for u, th, ph, wt in zip(
+        rng.uniform(0.5, 2.0, n).tolist(), rng.uniform(0.0, 1e-8, n).tolist(),
+        rng.uniform(0.0, 2 * math.pi, n).tolist(), weight.tolist())]
+    assert_same_bits(modes, -0.37)
+    assert len(calls) == (n >= _EXACT_SUMS_MIN)
+
+
+def kernel_rows():
+    """Rows whose fsum is hard: exact cancellation, signed zeros, subnormal
+    terms and sums, the whole exponent range, single terms, zeros."""
+    rng = np.random.default_rng(1505)
+    r = rng.standard_normal(700) * np.ldexp(1.0, rng.integers(-60, 60, 700))
+    yield rng.permutation(np.concatenate([r, -r]))  # cancels to 0 exactly
+    yield np.full(9, -0.0)
+    yield np.array([-0.0])
+    tiny = rng.integers(-2**20, 2**20, 600) * 5e-324  # subnormal terms
+    yield tiny
+    yield np.concatenate([tiny, -tiny[:-1]])  # a subnormal sum
+    yield np.array([2.0**-1022, -2.0**-1074, -2.0**-1023])  # normal terms, subnormal sum
+    x = np.arange(-1074, 1001)  # terms from 2^-1074 to 2^1000, random signs
+    yield rng.permutation(np.ldexp(rng.choice([-1.0, 1.0], x.size) * rng.uniform(1.0, 2.0, x.size), x))
+    yield np.array([2.0**1000, 2.0**-1074, -2.0**1000])
+    yield np.array([1.0, 2.0**-53, 2.0**-1074])  # a tie broken by the last term
+    yield np.array([0.5 + 5 * 2.0**-53, -0.5 - 3 * 2.0**-53])  # one bin: hi sums to 0, lo not
+    for v in (3.0, -5e-324, 1.7976931348623157e308, 0.0):  # a single term
+        yield np.array([v])
+    mixed = np.zeros(800)  # zeros mixed with tiny terms
+    mixed[rng.choice(800, 40, replace=False)] = rng.uniform(-1.0, 1.0, 40) * 1e-310
+    yield mixed
+    yield np.concatenate([np.zeros(5), [1e-300, -1e-300], np.zeros(5)])
+    k = rng.uniform(0.0, 5.0, 3000) * 1e-22  # a bench-like row, and its p_x
+    yield k
+    yield k * np.sin(rng.uniform(0.0, 1e-8, 3000)) * np.cos(rng.uniform(0.0, 2 * math.pi, 3000))
+
+
+def test_kernel_sums_are_fsums():
+    rows = list(kernel_rows())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums = _exact_sums(rows)
+    assert bits(sums) == bits(math.fsum(row.tolist()) for row in rows)
 
 
 @pytest.mark.parametrize("spread", [math.pi, 1e-4])
@@ -239,9 +297,11 @@ class TestEdges:
         assert p.deficit == p.e_over_c == 2.0 * (HBAR * OMEGA / C)
 
     def test_overflowing_momenta_warn_nothing(self):
-        ens = PhotonEnsemble((PhotonMode(1e308, (0.0, 0.0, 1.0), 1e308),
-                              PhotonMode(1e308, (1.0, 0.0, 0.0), 1e308)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                total_four_momentum(ens)
+        for n in (2, _EXACT_SUMS_MIN):  # math.fsum's side of the switch and the kernel's
+            ens = PhotonEnsemble((PhotonMode(1e308, (0.0, 0.0, 1.0), 1e308),
+                                  PhotonMode(1e308, (1.0, 0.0, 0.0), 1e308))
+                                 + (PhotonMode(OMEGA, (0.0, 1.0, 0.0), 0.0),) * (n - 2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatingPointError, match="non-finite"):
+                    total_four_momentum(ens)
