@@ -80,13 +80,11 @@ def mass_kperp_correspondence(mass: float, energy: float) -> float:
     """<k_perp^2>/|k|^2 = (m c^2/energy)^2 for the matching ensemble."""
     if not (0.0 <= mass < math.inf and 0.0 < energy < math.inf):
         raise ValueError("need finite mass >= 0 and energy > 0")
-    ratio = mass * C * C / energy
-    # from q <= 1 (sqrt(q) <= 1 exactly), m = energy sqrt(q)/c^2 and m c^2/energy
-    # round six times, and a subnormal m is off by up to 2^-1075 g more, 2^-1075 c^2/energy
-    # on the ratio: up to that bound the ratio is the kernel's own mass at q = 1
-    if ratio > 1.0 + 6 * 2.0**-53 + math.ldexp(C * C, -1075) / energy:
+    # the kernel's m = energy sqrt(q)/c^2 rounds monotonically in q, subnormal m
+    # included, so none exceeds its own at q = 1; m c^2/energy may round past 1
+    if mass > energy / (C * C):
         raise ValueError("mass c^2 exceeds energy")
-    ratio = min(ratio, 1.0)
+    ratio = min(mass * C * C / energy, 1.0)
     return ratio * ratio
 
 

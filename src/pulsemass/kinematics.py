@@ -39,12 +39,13 @@ class FourMomentum:
     """A four-momentum (e/c, px, py, pz), its deficit e/c - |p| and its
     p_abs = |p|; all in g*cm/s.
 
-    The one place that checks and scales a four-momentum: |p| is formed
-    on the components times 2^-x, x = frexp(e/c)[1], so e/c is in [0.5, 1),
-    and scaled back: exact, so the bits are the unscaled formula's wherever
-    its squares are normal.  A given deficit (total_four_momentum sums it
-    per mode, so it does not cancel) must be within SPACELIKE_TOL * e/c of
-    e/c - |p|, the default.  The readers use the scaled values kept here.
+    The one place that checks and scales a four-momentum: all five values
+    are taken times 2^-x, x = frexp(largest magnitude)[1], so none exceeds 1,
+    |p| is formed on them and all are scaled back: exact, so the bits are the
+    unscaled formula's wherever the scaled values and their squares are
+    normal.  A given deficit (total_four_momentum sums it per mode, so it
+    does not cancel) must be within SPACELIKE_TOL * e/c of e/c - |p|, the
+    default.  The readers use the scaled values kept here.
     """
 
     e_over_c: float
@@ -55,32 +56,27 @@ class FourMomentum:
 
     def __post_init__(self):
         e, px, py, pz, d = self.e_over_c, self.px, self.py, self.pz, self.deficit
-        if not all(map(math.isfinite, (e, px, py, pz, 0.0 if d is None else d))):
+        dd = 0.0 if d is None else d
+        if not all(map(math.isfinite, (e, px, py, pz, dd))):
             raise FloatingPointError(f"non-finite four-momentum component in {(e, px, py, pz, d)}")
         if not e >= 0.0:
             raise ValueError("four-momentum energy must be nonnegative")
-        e, x = math.frexp(e)  # e/c = e 2^x, e in [0.5, 1)
-        # a subnormal component is good to 2^-1074 = 2^(-1074 - x) e/c: allow 2^10
+        # timelike or null: x is e/c's exponent, or one above where a value rounds past it
+        x = math.frexp(max(e, abs(px), abs(py), abs(pz), abs(dd)))[1]
+        e, px = math.ldexp(e, -x), math.ldexp(px, -x)
+        py, pz = math.ldexp(py, -x), math.ldexp(pz, -x)
+        # a subnormal component is good to 2^-1074 = 2^(-1074 - x) 2^x: allow 2^10
         tol = SPACELIKE_TOL + math.ldexp(1.0, -1064 - x)
-        try:
-            px, py, pz = math.ldexp(px, -x), math.ldexp(py, -x), math.ldexp(pz, -x)
-        except OverflowError:  # a component past 2^x times the float range: |p| >> e/c
-            raise ValueError("spacelike four-momentum: corrupted ensemble") from None
         e2, p2 = e * e, px * px + py * py + pz * pz
-        # frexp(0) gives no scale, so an e/c of 0 leaves p unscaled and p^2
-        # may underflow to 0: any nonzero component is spacelike
-        if not e2 - p2 >= -tol * e2 or (e == 0.0 and (px or py or pz)):
+        if not e2 - p2 >= -tol * e2:
             raise ValueError("spacelike four-momentum: corrupted ensemble")
         p_abs = math.sqrt(p2)
-        try:
-            d = e - p_abs if d is None else math.ldexp(d, -x)
-        except OverflowError:  # a deficit past 2^x times the float range: >> e/c
-            d = math.inf
+        d = e - p_abs if d is None else math.ldexp(d, -x)
         if not abs(d - (e - p_abs)) <= tol * e:
             raise ValueError(f"deficit {self.deficit!r} is not e/c - |p| to SPACELIKE_TOL * e/c")
         _set(self, "p_abs", math.ldexp(p_abs, x))
         _set(self, "deficit", math.ldexp(d, x) if self.deficit is None else self.deficit)
-        _set(self, "_scaled", (x, e, pz, p_abs, d))  # e/c in [0.5, 1), the rest at its scale
+        _set(self, "_scaled", (x, e, pz, p_abs, d))  # every magnitude at most 1, times 2^-x
 
 
 @dataclass(frozen=True, init=False, slots=True)

@@ -89,13 +89,24 @@ class TestCorrespondence:
             mass_kperp_correspondence(1.0, 1e5)
 
     def test_overweight_subnormal_mass_rejected(self):
-        # one subnormal ulp, 2^-1074 g, is twice the rounding a subnormal mass can carry
+        # the kernel's mass at q = 1, 1e-310/c^2, rounds to 0: so does every kernel mass
         with pytest.raises(ValueError, match="mass c\\^2 exceeds energy"):
             mass_kperp_correspondence(2.0**-1074, 1e-310)
 
-    # below E ~ 2e-287 erg the kernel's mass at q = 1 is subnormal and has lost bits
+    # no kernel mass exceeds its own at q = 1, energy/c^2: one ulp above is refused
+    @pytest.mark.parametrize("energy", [1e-280, 1e5, 1e300])
+    def test_one_ulp_above_the_kernel_mass_at_q_1_is_refused(self, energy):
+        at_q_1 = mass_and_speed_deficit(energy, 1.0)[0]
+        assert at_q_1 == energy / (C * C)
+        assert 1.0 - 8 * 2.0**-53 <= mass_kperp_correspondence(at_q_1, energy) <= 1.0
+        with pytest.raises(ValueError, match="mass c\\^2 exceeds energy"):
+            mass_kperp_correspondence(math.nextafter(at_q_1, math.inf), energy)
+
+    # every kernel mass is accepted; below E ~ 2e-287 erg the mass at q = 1 is
+    # subnormal and has lost bits
     @settings(max_examples=500, deadline=None)
-    @given(log_energy=st.floats(min_value=-323.0, max_value=-280.0),
+    @given(log_energy=st.one_of(st.floats(min_value=-323.0, max_value=-280.0),
+                                st.floats(min_value=-323.0, max_value=300.0)),
            q=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)))
     @example(log_energy=-290.0, q=1.0)
     @example(log_energy=-295.0, q=1.0)

@@ -436,7 +436,7 @@ class TestInvariantsAndHelpers:
         with pytest.raises(ValueError, match="^spacelike four-momentum"):
             FourMomentum(*components)
 
-    # scaling the component by 2^-x of a faint e/c overflows: far outside the light cone
+    # the component far past a faint e/c sets the scale, where e/c is 0 or near it
     @pytest.mark.parametrize("components", [(1e-300, 0.0, 0.0, 1e10),
                                             (5e-324, 1e300, 0.0, 0.0),
                                             (5e-324, 0.0, -1e300, 0.0)],
@@ -447,7 +447,7 @@ class TestInvariantsAndHelpers:
 
     @pytest.mark.parametrize("slot", [1, 2, 3], ids=["px", "py", "pz"])
     def test_zero_energy_with_a_faint_component_is_refused(self, slot):
-        # e/c = 0 gives no scale, and the unscaled 1e-200^2 underflows to 0
+        # the component sets the scale, so its square does not underflow to 0
         components = [0.0, 0.0, 0.0, 0.0]
         components[slot] = 1e-200
         with pytest.raises(ValueError, match="^spacelike four-momentum"):
@@ -463,10 +463,11 @@ class TestInvariantsAndHelpers:
         with pytest.raises(FloatingPointError, match="non-finite"):
             FourMomentum(1.0, 0.0, 0.0, 0.5, deficit)
 
-    # 1e10 times the 2^996 that scales e/c = 1e-300 overflows; 0.9 is not 1 - 0.5
+    # 1e10 is far past e/c = 1e-300 and 1e300 past e/c = 0; 0.9 is not 1 - 0.5
     @pytest.mark.parametrize("components", [(1e-300, 0.0, 0.0, 0.0, 1e10),
-                                            (1.0, 0.0, 0.0, 0.5, 0.9)],
-                             ids=["past-the-scaled-range", "off-e-minus-p"])
+                                            (1.0, 0.0, 0.0, 0.5, 0.9),
+                                            (0.0, 0.0, 0.0, 0.0, 1e300)],
+                             ids=["past-the-scaled-range", "off-e-minus-p", "zero-energy"])
     def test_deficit_off_e_minus_p_is_refused(self, components):
         with pytest.raises(ValueError, match=r"^deficit .* SPACELIKE_TOL \* e/c$"):
             FourMomentum(*components)

@@ -7,7 +7,8 @@ math.fsum's bits.  total_four_momentum takes them from math.fsum below
 _EXACT_SUMS_MIN modes and from the binned kernel _exact_sums from there to
 the 2^27 terms its bins sum exactly, so the tests run on both sides of the
 switch.  The mass is held to the unscaled formula, which invariant_mass
-scales by a power of two.
+scales by a power of two.  FourMomentum's scale, the exponent of its largest
+magnitude, is held to the e/c-exponent rule ref_scaled_outputs.
 """
 
 import math
@@ -28,6 +29,7 @@ from pulsemass.kinematics import (
     PhotonEnsemble,
     PhotonMode,
     boost_ensemble,
+    ensemble_velocity,
     invariant_mass,
     _exact_sums,
     rest_frame,
@@ -231,6 +233,99 @@ def test_pack_matches_the_list_reference(n):
         assert bits(ens.weight) == bits(weight)
         for a in (ens.omega, ens.n, ens.weight):
             assert a.dtype == np.float64 and not a.flags.writeable
+
+
+# -- FourMomentum's scale ---------------------------------------------------------
+
+def ref_scaled_outputs(e, px, py, pz, d=None):
+    """p_abs, deficit, mass, velocity and rest-frame beta of a FourMomentum,
+    or its refusal, by the e/c-exponent rule: x = frexp(e/c)[1] alone, so
+    e/c in [0.5, 1), with a case for a scaled component or deficit that
+    overflows and one for e/c = 0, which gives no scale."""
+    given = d
+    es, x = math.frexp(e)
+    tol = kinematics.SPACELIKE_TOL + math.ldexp(1.0, -1064 - x)
+    spacelike = ("ValueError", "spacelike four-momentum: corrupted ensemble")
+    try:
+        px, py, pz = math.ldexp(px, -x), math.ldexp(py, -x), math.ldexp(pz, -x)
+    except OverflowError:
+        return spacelike
+    e2, p2 = es * es, px * px + py * py + pz * pz
+    if not e2 - p2 >= -tol * e2 or (es == 0.0 and (px or py or pz)):
+        return spacelike
+    p_abs = math.sqrt(p2)
+    try:
+        d = es - p_abs if given is None else math.ldexp(given, -x)
+    except OverflowError:
+        d = math.inf
+    if not abs(d - (es - p_abs)) <= tol * es:
+        return ("ValueError", f"deficit {given!r} is not e/c - |p| to SPACELIKE_TOL * e/c")
+    out = [math.ldexp(p_abs, x), math.ldexp(d, x) if given is None else given,
+           math.ldexp(math.sqrt(max((es + p_abs) * d, 0.0)) / C, x)]
+    out.append(max(-C, min(C, C * pz / es)) if e > 0.0 else "no velocity")
+    try:
+        if d <= 4.0 * 2.0**-52 * es:
+            raise ValueError("no rest frame for null momentum")
+        out.append(BoostFrame(pz / es).beta)
+    except ValueError as exc:
+        out.append(str(exc))
+    return tuple(v.hex() if isinstance(v, float) else v for v in out)
+
+
+def scaled_outputs(*components):
+    """The same outputs, or refusal, from FourMomentum and its readers."""
+    try:
+        p = FourMomentum(*components)
+    except (ValueError, FloatingPointError) as exc:
+        return (type(exc).__name__, str(exc))
+    out = [p.p_abs, p.deficit, invariant_mass(p)]
+    out.append(ensemble_velocity(p) if p.e_over_c > 0.0 else "no velocity")
+    try:
+        out.append(rest_frame(p).beta)
+    except ValueError as exc:
+        out.append(str(exc))
+    return tuple(v.hex() if isinstance(v, float) else v for v in out)
+
+
+@st.composite
+def momenta(draw):
+    """(e/c, px, py, pz, deficit): e/c from 2^-1070 to 2^1020, each |p_i| at
+    most e/c and |p| <= e/c up to rounding, and the deficit absent, or the
+    reference's e/c - |p| less up to 2 SPACELIKE_TOL e/c, so some are refused."""
+    e = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), draw(st.integers(-1069, 1020)))
+    u = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    norm = math.sqrt(sum(v * v for v in u))
+    px, py, pz = (e * v / norm if norm > 1.0 else e * v for v in u)
+    if draw(st.booleans()):
+        return e, px, py, pz
+    default = float.fromhex(ref_scaled_outputs(e, px, py, pz)[1])
+    return e, px, py, pz, default - draw(st.floats(0.0, 2e-9)) * e
+
+
+@settings(max_examples=400, deadline=None)
+@given(momenta())
+def test_scale_keeps_the_bits_of_the_e_over_c_rule(momentum):
+    # the largest magnitude here is e/c, so both rules take the same x
+    assert scaled_outputs(*momentum) == ref_scaled_outputs(*momentum)
+
+
+# a component or the deficit a hair past e/c across a power of two sets x one
+# above e/c's exponent: every scaled value is halved exactly
+@pytest.mark.parametrize("scale", [-1000, -300, 0, 300, 1000])
+@pytest.mark.parametrize("components", [
+    (1 - 2**-53, 0.0, 0.0, 1.0),
+    (1 - 2**-53, 3e-9, 0.0, 1.0, 1e-10),
+    (1 - 2**-53, 1.0, -2e-9, 0.0),
+    (1 - 2**-53, 0.0, 1.0, 0.375, 0.25),
+    (1 - 2**-53, 0.0, 0.0, 0.0, 1.0),
+    (1 - 2**-53, 0.0, 3e-11, 0.0, 1.0),
+], ids=["pz", "pz-given-deficit", "px", "py-past-is-spacelike", "deficit", "deficit-py"])
+def test_scale_from_past_e_over_c_keeps_the_bits(components, scale):
+    components = tuple(math.ldexp(v, scale) for v in components)
+    out = scaled_outputs(*components)
+    assert out == ref_scaled_outputs(*components)
+    if out[0] != "ValueError":
+        assert FourMomentum(*components)._scaled[0] == math.frexp(components[0])[1] + 1
 
 
 class TestEdges:
