@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .constants import C, HBAR
 from .pulse import GaussianPulseParams, validity_ratio
@@ -27,18 +27,14 @@ WARN_RATIO = 0.05
 ERROR_RATIO = 0.5
 
 
-@dataclass(frozen=True)
-class PulseSummary:
-    """Paraxial pulse observables; rest_energy = mass*c^2 and
-    speed_deficit = c q/2, q = (lambda/(2 pi w))^2 = (mass c^2/energy)^2,
-    hold by construction."""
+class PulseSummary(namedtuple("PulseSummary", "energy photon_count mass speed_deficit "
+                                               "rest_energy wavelength")):
+    """Paraxial pulse observables: energy (erg), photon_count, mass (g),
+    speed_deficit = c - v (cm/s), rest_energy (erg) and wavelength (cm);
+    rest_energy = mass*c^2 and speed_deficit = c q/2,
+    q = (lambda/(2 pi w))^2 = (mass c^2/energy)^2, hold by construction."""
 
-    energy: float         # erg
-    photon_count: float
-    mass: float           # g
-    speed_deficit: float  # cm/s, c - v
-    rest_energy: float    # erg
-    wavelength: float     # cm
+    __slots__ = ()
 
 
 def pulse_energy(params: GaussianPulseParams) -> float:
@@ -114,7 +110,7 @@ def w_limit_scaling(params: GaussianPulseParams, mode: str,
     if not all(0.0 < w < math.inf for w in waists):
         raise ValueError("waists must be finite and strictly positive")
     if mode == "fixed_E0":
-        energy_at = lambda w: pulse_energy(replace(params, w=w))
+        energy_at = lambda w: pulse_energy(params._replace(w=w))
     elif mode == "fixed_N":
         energy = pulse_energy(params)
         energy_at = lambda w: energy

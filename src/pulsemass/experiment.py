@@ -6,43 +6,42 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import C
 from .analytic import mass_and_speed_deficit, pulse_energy
-from .pulse import GaussianPulseParams
+from .pulse import GaussianPulseParams, _checked_record
 
 
 class GeometryWarning(UserWarning):
     """Lens geometry approaching the limit of the thin-pencil approximation."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_checked_record("ExperimentConfig", "w_half f source")):
     """Confocal-lens geometry plus the source pulse.
 
     w_half is the per-channel waist outside the focusing-defocusing region
     (roughly half the source waist); f the focal length of each lens.
     """
 
-    w_half: float
-    f: float
-    source: GaussianPulseParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.w_half < math.inf and 0.0 < self.f < math.inf):
+    def __new__(cls, w_half: float, f: float, source: GaussianPulseParams):
+        if not (0.0 < w_half < math.inf and 0.0 < f < math.inf):
             raise ValueError("w_half and f must be finite and strictly positive")
-        ratio = self.w_half / self.f
+        ratio = w_half / f
         if ratio > 0.2:
             raise ValueError(f"w_half/f = {ratio:.3g} too large; need w_half << f")
         if ratio > 0.1:
             warnings.warn(f"w_half/f = {ratio:.3g} stretches the w_half << f "
                           "assumption", GeometryWarning)
+        return super().__new__(cls, w_half, f, source)
 
 
-@dataclass(frozen=True)
-class DelayReport:
-    """Per-channel speed, accumulated spatial delay, and the in-region mass.
+class DelayReport(namedtuple("DelayReport", "v_channel delta_l separated m_fdr "
+                                             "f_over_ld gain_over_intrinsic")):
+    """Per-channel speed v_channel (cm/s), accumulated spatial delay delta_l
+    (cm), and the in-region mass m_fdr (g).
 
     delta_l = 2f(1 - v/c) = w_half^2/f holds exactly at leading order in
     q = (w_half/f)^2; separated flags delta_l > c*tau.  v_channel, delta_l
@@ -53,12 +52,7 @@ class DelayReport:
     as written, not as 1/f_over_ld, which rounds differently.
     """
 
-    v_channel: float   # cm/s
-    delta_l: float     # cm
-    separated: bool
-    m_fdr: float       # g
-    f_over_ld: float
-    gain_over_intrinsic: float
+    __slots__ = ()
 
 
 def spdc_speed(k_perp_sq_mean: float, k_abs: float) -> float:

@@ -40,12 +40,14 @@ class FourMomentum:
     p_abs = |p|; all in g*cm/s.
 
     The one place that checks and scales a four-momentum: all five values
-    are taken times 2^-x, x = frexp(largest magnitude)[1], so none exceeds 1,
-    |p| is formed on them and all are scaled back: exact, so the bits are the
-    unscaled formula's wherever the scaled values and their squares are
-    normal.  A given deficit (total_four_momentum sums it per mode, so it
-    does not cancel) must be within SPACELIKE_TOL * e/c of e/c - |p|, the
-    default.  The readers use the scaled values kept here.
+    are taken times 2^-x, x = frexp(e/c)[1], or frexp(largest magnitude)[1]
+    where that exceeds (1 + SPACELIKE_TOL) * e/c, so none exceeds
+    1 + SPACELIKE_TOL.  |p| is formed on them and all are scaled back:
+    exact, so the bits are the unscaled formula's wherever the scaled
+    values and their squares are normal.  A given deficit
+    (total_four_momentum sums it per mode, so it does not cancel) must be
+    within SPACELIKE_TOL * e/c of e/c - |p|, the default.  The readers use
+    the scaled values kept here.
     """
 
     e_over_c: float
@@ -61,8 +63,9 @@ class FourMomentum:
             raise FloatingPointError(f"non-finite four-momentum component in {(e, px, py, pz, d)}")
         if not e >= 0.0:
             raise ValueError("four-momentum energy must be nonnegative")
-        # timelike or null: x is e/c's exponent, or one above where a value rounds past it
-        x = math.frexp(max(e, abs(px), abs(py), abs(pz), abs(dd)))[1]
+        # e/c's exponent unless a magnitude is past the spacelike slack (e/c = 0 included)
+        top = max(e, abs(px), abs(py), abs(pz), abs(dd))
+        x = math.frexp(e if top <= e * (1.0 + SPACELIKE_TOL) else top)[1]
         e, px = math.ldexp(e, -x), math.ldexp(px, -x)
         py, pz = math.ldexp(py, -x), math.ldexp(pz, -x)
         # a subnormal component is good to 2^-1074 = 2^(-1074 - x) 2^x: allow 2^10
@@ -76,7 +79,7 @@ class FourMomentum:
             raise ValueError(f"deficit {self.deficit!r} is not e/c - |p| to SPACELIKE_TOL * e/c")
         _set(self, "p_abs", math.ldexp(p_abs, x))
         _set(self, "deficit", math.ldexp(d, x) if self.deficit is None else self.deficit)
-        _set(self, "_scaled", (x, e, pz, p_abs, d))  # every magnitude at most 1, times 2^-x
+        _set(self, "_scaled", (x, e, pz, p_abs, d))  # all at most 1 + SPACELIKE_TOL, times 2^-x
 
 
 @dataclass(frozen=True, init=False, slots=True)

@@ -1,7 +1,7 @@
 """Gaussian pulse parameters, their paraxial small parameters and the
 quadrature failure, free of numpy for the closed forms."""
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import C
 
@@ -16,21 +16,28 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and strictly positive")
 
 
-@dataclass(frozen=True)
-class GaussianPulseParams:
+def _checked_record(name: str, fields: str) -> type:
+    """A named tuple base whose _make, and so _replace, copy and unpickling,
+    build through the subclass's validating __new__."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    return base
+
+
+class GaussianPulseParams(_checked_record("GaussianPulseParams", "e0 tau w omega0")):
     """Classical description of a Gaussian pulse at the z = 0 boundary.
 
     e0: field amplitude (statvolt/cm); tau: duration (s);
     w: waist (cm); omega0: carrier angular frequency (rad/s).
+    A named tuple: change a field by _replace, not dataclasses.replace.
     """
 
-    e0: float
-    tau: float
-    w: float
-    omega0: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive(e0=self.e0, tau=self.tau, w=self.w, omega0=self.omega0)
+    def __new__(cls, e0: float, tau: float, w: float, omega0: float):
+        _require_positive(e0=e0, tau=tau, w=w, omega0=omega0)
+        return super().__new__(cls, e0, tau, w, omega0)
 
     @property
     def wavelength(self) -> float:

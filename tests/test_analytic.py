@@ -1,7 +1,8 @@
 """Tests for the closed-form paraxial pulse results."""
 
-import dataclasses
+import copy
 import math
+import pickle
 import re
 import sys
 import warnings
@@ -11,9 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pulsemass.constants import C, HBAR
+from pulsemass import pulse
 from pulsemass.analytic import (
     ParaxialError,
     ParaxialWarning,
+    PulseSummary,
     mass_and_speed_deficit,
     mass_from_energy,
     pulse_energy,
@@ -192,7 +195,7 @@ class TestOneMassFormula:
     def test_fixed_e0_matches_summarize_at_each_waist(self):
         for (w, m, dv), waist in zip(w_limit_scaling(PAPER_PULSE, "fixed_E0", [0.5, 3.0]),
                                      [0.5, 3.0]):
-            s = summarize(dataclasses.replace(PAPER_PULSE, w=waist))
+            s = summarize(PAPER_PULSE._replace(w=waist))
             assert (w, m, dv) == (waist, s.mass, s.speed_deficit)
 
     def test_fixed_e0_sweep_past_paraxial_limit_is_silent(self):
@@ -212,7 +215,7 @@ class TestOneMassFormula:
     def test_rows_carry_the_speed_deficit(self, mode):
         waists = [0.3, 0.7, 1.0, 2.5]
         for w, m, dv in w_limit_scaling(PAPER_PULSE, mode, waists):
-            at = dataclasses.replace(PAPER_PULSE, w=w) if mode == "fixed_E0" else PAPER_PULSE
+            at = PAPER_PULSE._replace(w=w) if mode == "fixed_E0" else PAPER_PULSE
             lam_over_w = PAPER_PULSE.wavelength / w
             q = lam_over_w * lam_over_w / (4.0 * math.pi * math.pi)
             assert (m, dv) == mass_and_speed_deficit(pulse_energy(at), q)
@@ -220,7 +223,7 @@ class TestOneMassFormula:
 
     def test_waists_are_returned_as_given(self):
         # a waist is not rebuilt from a factor of the base waist
-        base = dataclasses.replace(PAPER_PULSE, w=0.3)
+        base = PAPER_PULSE._replace(w=0.3)
         for mode in ("fixed_E0", "fixed_N"):
             assert [w for w, _, _ in w_limit_scaling(base, mode, [0.7])] == [0.7]
 
@@ -329,7 +332,76 @@ class TestSquaresAreProducts:
     @pytest.mark.parametrize("x", [float.fromhex(h) for h in [
         "0x1.b270af43db484p-1", "0x1.f6d080d409077p-1", "0x1.1a17246eb275fp-1"]])
     def test_squares_round_as_products(self, x):
-        p = dataclasses.replace(PAPER_PULSE, w=x)
+        p = PAPER_PULSE._replace(w=x)
         energy = math.sqrt(math.pi) * C * p.tau * (x * x) * (p.e0 * p.e0) / 8.0
         assert pulse_energy(p).hex() == energy.hex()
         assert BoostFrame(x).gamma.hex() == (1.0 / math.sqrt(1.0 - x * x)).hex()
+
+
+class TestRecordContract:
+    """GaussianPulseParams and PulseSummary are named tuples: every way to a
+    new GaussianPulseParams runs its checks, and repr, hash and field order
+    are those of the frozen dataclasses they replace."""
+
+    PARAMS = GaussianPulseParams(1.0, 1e-12, 0.5, 2e15)
+
+    def test_field_order(self):
+        assert GaussianPulseParams._fields == ("e0", "tau", "w", "omega0")
+        assert PulseSummary._fields == ("energy", "photon_count", "mass", "speed_deficit",
+                                        "rest_energy", "wavelength")
+
+    def test_repr(self):
+        assert repr(self.PARAMS) == (
+            "GaussianPulseParams(e0=1.0, tau=1e-12, w=0.5, omega0=2000000000000000.0)")
+        assert repr(summarize(self.PARAMS)) == (
+            "PulseSummary(energy=0.0016605259270454065, photon_count=787298645.8945956, "
+            "mass=5.538918284079736e-29, speed_deficit=13.472001208686992, "
+            "rest_energy=4.9781314924167104e-08, wavelength=9.418257836544266e-05)")
+
+    def test_hash_is_the_field_tuple_hash(self):
+        s = summarize(self.PARAMS)
+        assert hash(self.PARAMS) == hash((1.0, 1e-12, 0.5, 2e15))
+        assert hash(s) == hash(tuple(getattr(s, name) for name in PulseSummary._fields))
+
+    @pytest.mark.parametrize("field", ["e0", "w", "wavelength", "new_attribute"])
+    def test_params_are_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.PARAMS, field, 2.0)
+
+    @pytest.mark.parametrize("field", ["mass", "new_attribute"])
+    def test_summary_is_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(summarize(self.PARAMS), field, 2.0)
+
+    @pytest.mark.parametrize("field", ["e0", "tau", "w", "omega0"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_replace_and_make_check(self, field, value):
+        message = f"^{field} must be finite and strictly positive$"
+        with pytest.raises(ValueError, match=message):
+            self.PARAMS._replace(**{field: value})
+        values = [value if name == field else v for name, v in self.PARAMS._asdict().items()]
+        with pytest.raises(ValueError, match=message):
+            GaussianPulseParams._make(values)
+
+    def test_checks_run_in_field_order(self):
+        with pytest.raises(ValueError, match="^tau must"):
+            self.PARAMS._replace(omega0=math.nan, w=0.0, tau=-1.0)
+
+    def test_replace_keeps_the_type(self):
+        p = self.PARAMS._replace(w=2.0)
+        assert type(p) is GaussianPulseParams and p == (1.0, 1e-12, 2.0, 2e15)
+        assert GaussianPulseParams._make(iter(p)) == p
+        with pytest.raises(ValueError, match="Got unexpected field names"):
+            self.PARAMS._replace(lam=1.0)
+
+    @pytest.mark.parametrize("rebuild", [
+        *(pytest.param(lambda p, k=k: pickle.loads(pickle.dumps(p, k)), id=f"pickle-{k}")
+          for k in range(pickle.HIGHEST_PROTOCOL + 1)),
+        pytest.param(copy.copy, id="copy"), pytest.param(copy.deepcopy, id="deepcopy")])
+    def test_pickle_and_copy_run_the_checks(self, rebuild, monkeypatch):
+        checked = []
+        monkeypatch.setattr(pulse, "_require_positive",
+                            lambda **values: checked.append(tuple(values.values())))
+        p = rebuild(self.PARAMS)
+        assert type(p) is GaussianPulseParams and p == self.PARAMS
+        assert checked == [tuple(self.PARAMS)]

@@ -833,6 +833,8 @@ _NUMPY_IMPORT_GRAPH_CHILD = textwrap.dedent("""
         run("sweep", "--config", sweep_f, "--units", units)
     loaded["closed forms"] = "numpy" in sys.modules
     loaded["csv after closed forms"] = "csv" in sys.modules
+    loaded["dataclasses after closed forms"] = "dataclasses" in sys.modules
+    loaded["inspect after closed forms"] = "inspect" in sys.modules
     run("mass-discrete", "--config", discrete)
     run("mass-pulse", "--config", pulse, "--oracle")
     run("density", "--config", density)
@@ -857,7 +859,8 @@ def _env_without_blas_threads(**extra) -> dict:
 class TestNumpyImportGraph:
     def test_numpy_loaded_only_by_the_array_commands(self, tmp_path):
         """The package, the CLI module and the closed-form commands leave
-        numpy and csv unloaded; the array commands then run in the same process."""
+        numpy, csv, dataclasses and inspect unloaded; the array commands then
+        run in the same process."""
         csv_path = tmp_path / "fields.csv"
         csv_path.write_text("x,y,z,t,Ex,Ey,Ez,Hx,Hy,Hz\n0,0,0,0,1,0,0,0,0.5,0\n")
         configs = [
@@ -885,7 +888,9 @@ class TestNumpyImportGraph:
         if sys.platform.startswith("linux"):
             assert loaded.pop("threads") == "1"
         assert loaded == {"import": False, "OPENBLAS_NUM_THREADS": "1",
-                          "closed forms": False, "csv after closed forms": False}
+                          "closed forms": False, "csv after closed forms": False,
+                          "dataclasses after closed forms": False,
+                          "inspect after closed forms": False}
 
     @pytest.mark.parametrize("var", _BLAS_THREAD_VARS)
     def test_a_chosen_blas_thread_count_is_kept(self, var):

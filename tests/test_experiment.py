@@ -1,7 +1,10 @@
 """Tests for the slow-light experiment design calculations."""
 
+import copy
 import math
+import pickle
 import random
+import re
 import warnings
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from pulsemass.constants import C
 from pulsemass.analytic import mass_and_speed_deficit, summarize
 from pulsemass.experiment import (
+    DelayReport,
     ExperimentConfig,
     GeometryWarning,
     channel_delay,
@@ -226,3 +230,77 @@ class TestNonFiniteArguments:
     def test_kperp_ratio_to_mass(self, args):
         with pytest.raises(ValueError):
             kperp_ratio_to_mass(*args)
+
+
+# every way to a new ExperimentConfig: each must run the constructor's checks
+REBUILDS = {**{f"pickle-{k}": lambda c, k=k: pickle.loads(pickle.dumps(c, k))
+               for k in range(pickle.HIGHEST_PROTOCOL + 1)},
+            "copy": copy.copy, "deepcopy": copy.deepcopy,
+            "_replace": lambda c: c._replace(), "_make": ExperimentConfig._make}
+
+
+class TestRecordContract:
+    """ExperimentConfig and DelayReport are named tuples with the repr, hash
+    and field order of the frozen dataclasses they replace."""
+
+    PULSE = GaussianPulseParams(1.0, 1e-12, 0.5, 2e15)
+
+    def test_field_order(self):
+        assert ExperimentConfig._fields == ("w_half", "f", "source")
+        assert DelayReport._fields == ("v_channel", "delta_l", "separated", "m_fdr",
+                                       "f_over_ld", "gain_over_intrinsic")
+
+    def test_repr(self):
+        cfg = ExperimentConfig(0.25, 5.0, self.PULSE)
+        assert repr(cfg) == (
+            "ExperimentConfig(w_half=0.25, f=5.0, source=GaussianPulseParams("
+            "e0=1.0, tau=1e-12, w=0.5, omega0=2000000000000000.0))")
+        assert repr(channel_delay(cfg)) == (
+            "DelayReport(v_channel=29941771742.75, delta_l=0.012500000000000002, "
+            "separated=False, m_fdr=9.237921329027791e-26, f_over_ld=0.001199169832, "
+            "gain_over_intrinsic=833.9102379953802)")
+
+    def test_hash_is_the_field_tuple_hash(self):
+        cfg = config()
+        report = channel_delay(cfg)
+        assert hash(cfg) == hash((0.5, 5.0, SOURCE))
+        assert hash(report) == hash(tuple(getattr(report, n) for n in DelayReport._fields))
+
+    @pytest.mark.parametrize("field", ["w_half", "f", "source", "new_attribute"])
+    def test_config_is_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(config(), field, 1.0)
+
+    @pytest.mark.parametrize("field", ["delta_l", "new_attribute"])
+    def test_report_is_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(channel_delay(config()), field, 1.0)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"f": 1.0}, "w_half/f = 0.5 too large; need w_half << f"),
+        ({"w_half": 1.5}, "w_half/f = 0.3 too large; need w_half << f"),
+        ({"f": math.inf}, "w_half and f must be finite and strictly positive"),
+        ({"w_half": math.nan}, "w_half and f must be finite and strictly positive"),
+        ({"w_half": 0.0}, "w_half and f must be finite and strictly positive")])
+    def test_replace_runs_the_checks(self, change, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            config()._replace(**change)
+
+    def test_replace_into_the_warning_range_warns_once(self):
+        with pytest.warns(GeometryWarning) as caught:
+            cfg = config()._replace(f=4.0)
+        assert [str(w.message) for w in caught] == [
+            "w_half/f = 0.125 stretches the w_half << f assumption"]
+        assert type(cfg) is ExperimentConfig and cfg == (0.5, 4.0, SOURCE)
+
+    @pytest.mark.parametrize("rebuild", REBUILDS.values(), ids=list(REBUILDS))
+    def test_rebuilds_run_the_checks(self, rebuild):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = rebuild(config())
+        assert type(cfg) is ExperimentConfig and cfg == config()
+        with pytest.warns(GeometryWarning):
+            warm = config(w_half=0.75)
+        with pytest.warns(GeometryWarning) as caught:
+            again = rebuild(warm)
+        assert len(caught) == 1 and again == warm

@@ -7,8 +7,9 @@ math.fsum's bits.  total_four_momentum takes them from math.fsum below
 _EXACT_SUMS_MIN modes and from the binned kernel _exact_sums from there to
 the 2^27 terms its bins sum exactly, so the tests run on both sides of the
 switch.  The mass is held to the unscaled formula, which invariant_mass
-scales by a power of two.  FourMomentum's scale, the exponent of its largest
-magnitude, is held to the e/c-exponent rule ref_scaled_outputs.
+scales by a power of two.  FourMomentum's scale, e/c's exponent unless a
+magnitude is past the spacelike slack, is held to the e/c-exponent rule
+ref_scaled_outputs.
 """
 
 import math
@@ -309,8 +310,8 @@ def test_scale_keeps_the_bits_of_the_e_over_c_rule(momentum):
     assert scaled_outputs(*momentum) == ref_scaled_outputs(*momentum)
 
 
-# a component or the deficit a hair past e/c across a power of two sets x one
-# above e/c's exponent: every scaled value is halved exactly
+# a component or the deficit a hair past e/c across a power of two, within the
+# spacelike slack: x stays at e/c's exponent
 @pytest.mark.parametrize("scale", [-1000, -300, 0, 300, 1000])
 @pytest.mark.parametrize("components", [
     (1 - 2**-53, 0.0, 0.0, 1.0),
@@ -325,7 +326,17 @@ def test_scale_from_past_e_over_c_keeps_the_bits(components, scale):
     out = scaled_outputs(*components)
     assert out == ref_scaled_outputs(*components)
     if out[0] != "ValueError":
-        assert FourMomentum(*components)._scaled[0] == math.frexp(components[0])[1] + 1
+        assert FourMomentum(*components)._scaled[0] == math.frexp(components[0])[1]
+
+
+def test_a_subnormal_pz_beside_a_hair_past_e_over_c_is_not_halved():
+    # px = 1 passes e/c = 1 - 2^-53 within the slack, so x stays 0 and
+    # pz = 3 * 2^-1074 is not halved into a rounding to 2^-1073
+    e, pz = 1 - 2**-53, 3 * 2**-1074
+    p = FourMomentum(e, 1.0, 0.0, pz, 1e-10)
+    assert ensemble_velocity(p) == C * pz / e  # 4.44e-313 cm/s, not 5.92e-313
+    assert rest_frame(p).beta == pz            # 1.5e-323, not 2e-323
+    assert scaled_outputs(e, 1.0, 0.0, pz, 1e-10) == ref_scaled_outputs(e, 1.0, 0.0, pz, 1e-10)
 
 
 class TestEdges:

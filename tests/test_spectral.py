@@ -584,7 +584,7 @@ class TestOneWindow:
     @pytest.mark.parametrize("change, message", WINDOW_FAULTS, ids=["tau=1000", "tau=1e-320",
                                                                     "w=1e-320", "omega0=1e-320"])
     def test_oracle_and_field_refuse_the_same_window(self, change, message):
-        p = dataclasses.replace(params_for(1e-3, 1e-2), **change)
+        p = params_for(1e-3, 1e-2)._replace(**change)
         for driver in (integrate_observables, lambda p: field_profile(p, 0.0, 0.0, [0.0])):
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 driver(p)
